@@ -68,6 +68,11 @@ class PermClass:
                 stacklevel=3,
             )
         object.__setattr__(self, "basis", keep)
+        # The membership memo hashes its class argument on every lookup.
+        object.__setattr__(self, "_hash", hash(keep))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.name if self.name else class_literal(self)

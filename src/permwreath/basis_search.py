@@ -1,11 +1,14 @@
 """Basis enumeration for wreath products and the infinite antichain families.
 
 A permutation sits in the basis of a wreath product when it is not a
-member but every one-point deletion is.  At desk scale the basis up to a
-length bound falls out of a straight scan of the symmetric groups; the
-scan leans on two facts: membership is closed downward (a non-member
-deletion settles the matter), and every deletion of a length-n
-permutation was already classified during the length-(n-1) pass.
+member but every one-point deletion is: the basis is the set of minimal
+non-members.  Membership is closed downward, so a permutation whose
+deletion of its maximum is a non-member is itself a non-member and not
+minimal.  The scan therefore never visits all of S_n: it keeps the
+sorted members of each length and builds the length-n candidates as
+their children, by inserting n at every position.  Each candidate gets
+one greedy membership test; only a non-member has its other deletions
+looked up in the previous length's members.
 
 The antichain families are parameterised generators of arbitrarily long
 basis elements for specific products, each pairing an outer class with
@@ -18,10 +21,11 @@ import itertools
 import multiprocessing
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .avoidance import PermClass, named
 from .perm_core import (
+    ONE,
     CapExceeded,
     Permutation,
     _trusted,
@@ -53,51 +57,50 @@ def _record(pi: Permutation, outer: PermClass, inner: PermClass) -> BasisRecord:
     return BasisRecord(pi, outer.basis, inner.basis, len(pi), _now())
 
 
-def _deletions(vals: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    n = len(vals)
-    for k in range(n):
-        removed = vals[k]
-        yield tuple(
-            v - 1 if v > removed else v for i, v in enumerate(vals) if i != k
-        )
-
-
 def basis_elements_of_length(
     outer: PermClass,
     inner: PermClass,
     n: int,
-    prev_members: dict | None = None,
-) -> tuple[list[Permutation], dict]:
-    """One length-n pass of the basis scan.
+    prev_members: Sequence[Permutation],
+    *,
+    keep_members: bool = True,
+) -> tuple[list[Permutation], list[Permutation]]:
+    """One length-n pass of the basis scan, grown from the members below.
 
-    ``prev_members`` maps every length-(n-1) permutation to its
-    membership verdict; pass None to fall back on direct membership
-    tests (used when resuming mid-run).  Returns the basis elements of
-    length n in lexicographic order plus the full length-n verdict map
-    for the next pass.
+    ``prev_members`` is the sorted list of length-(n-1) members of the
+    product (ignored for n = 1).  Every length-n permutation has exactly
+    one parent, the deletion of its maximum n, and a permutation whose
+    parent is a non-member is a non-member that is not minimal.  So the
+    candidates are the children of members: n inserted at each position
+    of each member.  A candidate is tested with :func:`wreath_member`
+    first; only a non-member has its other n-1 deletions looked up in
+    the parent layer, and it is a basis element when all of them are
+    there.
+
+    Returns the basis elements of length n in lexicographic order and
+    the sorted length-n members, the next pass's parent layer (empty
+    when ``keep_members`` is false, for the last length of a scan).
     """
-    members: dict = {}
+    if n == 1:
+        if wreath_member(ONE, outer, inner):
+            return [], [ONE]
+        return [ONE], []
+    parents = set(prev_members)
+    members: list[Permutation] = []
     found: list[Permutation] = []
-    for vals in itertools.permutations(range(1, n + 1)):
-        minimal = True
-        for d in _deletions(vals):
-            if prev_members is not None:
-                ok = prev_members[d]
-            else:
-                ok = wreath_member(_trusted(d), outer, inner) if d else True
-            if not ok:
-                minimal = False
-                break
-        if minimal:
-            pi = _trusted(vals)
-            is_member = wreath_member(pi, outer, inner)
-            members[vals] = is_member
-            if not is_member:
+    for mu in prev_members:
+        base = list(mu)
+        for p in range(n):
+            pi = _trusted(base[:p] + [n] + base[p:])
+            if wreath_member(pi, outer, inner):
+                if keep_members:
+                    members.append(pi)
+            elif all(
+                delete_point(pi, q) in parents for q in range(1, n + 1) if q != p + 1
+            ):
                 found.append(pi)
-        else:
-            # Some deletion already left the product, so this one is out
-            # too (membership is closed downward), and it is not minimal.
-            members[vals] = False
+    found.sort()
+    members.sort()
     return found, members
 
 
@@ -106,14 +109,47 @@ def _scan_partition(args):
     found = []
     rest = [v for v in range(1, n + 1) if v != first]
     for tail in itertools.permutations(rest):
-        vals = (first, *tail)
+        pi = _trusted((first, *tail))
         if all(
-            wreath_member(_trusted(d), outer, inner) for d in _deletions(vals)
-        ):
-            pi = _trusted(vals)
-            if not wreath_member(pi, outer, inner):
-                found.append(pi)
+            wreath_member(delete_point(pi, q), outer, inner) for q in range(1, n + 1)
+        ) and not wreath_member(pi, outer, inner):
+            found.append(pi)
     return found
+
+
+def basis_passes(
+    outer: PermClass,
+    inner: PermClass,
+    max_len: int,
+    *,
+    done: int = 0,
+    jobs: int = 1,
+) -> Iterator[tuple[int, list[Permutation]]]:
+    """Yield (n, basis elements of length n) for n = done+1..max_len.
+
+    This is the one basis loop: each length is grown from the previous
+    length's members, so lengths up to ``done`` (already reported, e.g.
+    by a stored run) are rebuilt silently when there is anything left to
+    scan.  With ``jobs`` > 1 every length from 3 on is partitioned by
+    first entry across worker processes, which test each deletion
+    directly; the result is identical either way.
+    """
+    if done >= max_len:
+        return
+    members: list[Permutation] = []
+    for n in range(1, max_len + 1):
+        if jobs > 1 and n > 2:
+            if n > done:
+                tasks = [(outer, inner, n, first) for first in range(1, n + 1)]
+                with multiprocessing.Pool(jobs) as pool:
+                    parts = pool.map(_scan_partition, tasks)
+                yield n, sorted(p for part in parts for p in part)
+            continue
+        found, members = basis_elements_of_length(
+            outer, inner, n, members, keep_members=n < max_len
+        )
+        if n > done:
+            yield n, found
 
 
 def wreath_basis(
@@ -136,23 +172,11 @@ def wreath_basis(
     """
     if max_len > cap:
         raise CapExceeded(f"max_len {max_len} exceeds the cap {cap}")
-    records: list[BasisRecord] = []
-    if jobs > 1:
-        for n in range(1, max_len + 1):
-            if n <= 2:
-                found, _ = basis_elements_of_length(outer, inner, n)
-            else:
-                tasks = [(outer, inner, n, first) for first in range(1, n + 1)]
-                with multiprocessing.Pool(jobs) as pool:
-                    parts = pool.map(_scan_partition, tasks)
-                found = sorted(p for part in parts for p in part)
-            records.extend(_record(p, outer, inner) for p in found)
-        return records
-    members: dict | None = None
-    for n in range(1, max_len + 1):
-        found, members = basis_elements_of_length(outer, inner, n, members)
-        records.extend(_record(p, outer, inner) for p in found)
-    return records
+    return [
+        _record(p, outer, inner)
+        for _, found in basis_passes(outer, inner, max_len, jobs=jobs)
+        for p in found
+    ]
 
 
 @dataclass(frozen=True)

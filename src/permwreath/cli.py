@@ -7,9 +7,10 @@ every command to structured output.
 
 Store files hold one JSON object per line, schema
 ``{"kind", "schema_version", "payload"}``, append-only.  A basis run
-writes a completion marker after each finished length, so re-running a
-completed length is a no-op; corrupt lines are a hard error naming the
-line number.
+writes each finished length's records together with its completion
+marker in one write, so re-running a completed length is a no-op and a
+crash never leaves records without their marker; corrupt lines are a
+hard error naming the line number.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ from .basis_search import (
     FAMILIES,
     BasisRecord,
     antichain_member,
-    basis_elements_of_length,
+    basis_passes,
     check_antichain,
     verify_basis_element,
-    wreath_basis,
     _record,
-    _scan_partition,
 )
 from .blocks_pins import (
     PinConditionError,
@@ -102,17 +101,47 @@ class _Parser(argparse.ArgumentParser):
 
 # --- store --------------------------------------------------------------
 
-def store_append(path: str, kind: str, payload: dict) -> None:
-    """Append one record to the store and flush it to disk."""
-    line = json.dumps(
+def _store_line(kind: str, payload: dict) -> str:
+    return json.dumps(
         {"kind": kind, "schema_version": SCHEMA_VERSION, "payload": payload},
         separators=(",", ":"),
         sort_keys=True,
+    ) + "\n"
+
+
+def _store_write(path: str, text: str) -> None:
+    # One write of the whole text, then one fsync: a crash leaves either
+    # all of it or none of it in the common case.
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def store_append(path: str, kind: str, payload: dict) -> None:
+    """Append one record to the store and flush it to disk."""
+    _store_write(path, _store_line(kind, payload))
+
+
+def store_commit_length(
+    path: str, job: str, length: int, payloads: list[dict]
+) -> None:
+    """Append one length's basis records and its completion marker.
+
+    Records and marker go to disk in a single write, so a crash cannot
+    leave the records of a length without its marker (which would make
+    a re-run append them again).
+    """
+    _store_write(
+        path,
+        "".join(_store_line("basis_record", p) for p in payloads)
+        + _store_line("length_complete", {"job": job, "length": length}),
     )
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
 
 
 def store_lines(path: str) -> Iterator[tuple[int, dict]]:
@@ -584,46 +613,19 @@ def _run_basis(ns, as_json) -> CommandResult:
     inner = parse_class(ns.y)
     if ns.max_len > ns.enum_cap:
         raise CapExceeded(f"max_len {ns.max_len} exceeds the cap {ns.enum_cap}")
+    key = _job_key(outer, inner)
+    completed = store_resume(ns.store).get(key, 0) if ns.store else 0
     lines = []
-
-    if ns.store:
-        key = _job_key(outer, inner)
-        completed = store_resume(ns.store).get(key, 0)
-        members = None
-        for n in range(1, ns.max_len + 1):
-            if n <= completed:
-                members = None  # the chain is broken; recompute on demand
-                continue
-            if ns.jobs > 1 and n > 2:
-                import multiprocessing
-
-                tasks = [(outer, inner, n, first) for first in range(1, n + 1)]
-                with multiprocessing.Pool(ns.jobs) as pool:
-                    parts = pool.map(_scan_partition, tasks)
-                found = sorted(p for part in parts for p in part)
-                members = None
-            else:
-                found, members = basis_elements_of_length(outer, inner, n, members)
-            for p in found:
-                rec = _record(p, outer, inner)
-                store_append(ns.store, "basis_record", _basis_payload(rec))
-                lines.append(
-                    _json_line(_basis_payload(rec))
-                    if as_json
-                    else f"{rec.length} {format_perm(rec.perm)}"
-                )
-            store_append(ns.store, "length_complete", {"job": key, "length": n})
-        return CommandResult(EXIT_OK, "\n".join(lines))
-
-    records = wreath_basis(
-        outer, inner, ns.max_len, cap=ns.enum_cap, jobs=ns.jobs
-    )
-    for rec in records:
-        lines.append(
-            _json_line(_basis_payload(rec))
-            if as_json
-            else f"{rec.length} {format_perm(rec.perm)}"
-        )
+    for n, found in basis_passes(
+        outer, inner, ns.max_len, done=completed, jobs=ns.jobs
+    ):
+        payloads = [_basis_payload(_record(p, outer, inner)) for p in found]
+        if ns.store:
+            store_commit_length(ns.store, key, n, payloads)
+        for payload, p in zip(payloads, found):
+            lines.append(
+                _json_line(payload) if as_json else f"{n} {format_perm(p)}"
+            )
     return CommandResult(EXIT_OK, "\n".join(lines))
 
 

@@ -333,19 +333,8 @@ def intervals(pi: Sequence[int]) -> list[tuple[int, int]]:
     >>> intervals(Permutation((2, 4, 1, 3)))
     [(1, 1), (1, 4), (2, 2), (3, 3), (4, 4)]
     """
-    n = len(pi)
-    out = []
-    for s in range(n):
-        mn = mx = pi[s]
-        for e in range(s, n):
-            v = pi[e]
-            if v < mn:
-                mn = v
-            elif v > mx:
-                mx = v
-            if mx - mn == e - s:
-                out.append((s + 1, e + 1))
-    return out
+    table = interval_end_table(pi)
+    return [(s, e) for s in range(1, len(pi) + 1) for e in table[s]]
 
 
 def is_interval(pi: Sequence[int], start: int, end: int) -> bool:

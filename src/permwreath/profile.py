@@ -21,6 +21,7 @@ from .perm_core import (
     ONE,
     CapExceeded,
     Permutation,
+    _trusted,
     inflate,
     interval_end_table,
     reduce,
@@ -52,6 +53,13 @@ def left_greedy_profile(pi: Sequence[int], inner: PermClass) -> ProfileDecomposi
     a singleton always qualifies.  The result is the unique shortest
     deflation of the host by blocks from ``inner``.
 
+    The valid block ends from a fixed start form a prefix of the
+    ascending interval ends: a longer interval with the same start
+    contains the shorter one, and ``inner`` is closed downward.  So the
+    scan grows each block upward and stops at the first interval whose
+    pattern leaves ``inner``.  A block's values are consecutive, so its
+    pattern is simply ``v - min + 1``.
+
     >>> from .avoidance import av
     >>> left_greedy_profile(Permutation((3, 4, 1, 5, 6, 7, 2)), av(21)).profile
     Permutation([3, 1, 4, 2])
@@ -63,19 +71,36 @@ def left_greedy_profile(pi: Sequence[int], inner: PermClass) -> ProfileDecomposi
             "nothing can be deflated by it"
         )
     n = len(pi)
-    ends = interval_end_table(pi)
     segments: list[tuple[int, int]] = []
     patterns: list[Permutation] = []
-    s = 1
-    while s <= n:
-        for e in reversed(ends[s]):
-            pat = reduce(pi[s - 1 : e])
-            if member(pat, inner):
-                segments.append((s, e))
-                patterns.append(pat)
-                s = e + 1
-                break
-    profile = reduce([pi[s - 1] for s, _ in segments])
+    lows: list[int] = []
+    s = 0
+    while s < n:
+        lo = hi = low = pi[s]
+        end, pat = s, ONE
+        for e in range(s + 1, n):
+            v = pi[e]
+            if v < lo:
+                lo = v
+            elif v > hi:
+                hi = v
+            if hi - lo == e - s:
+                longer = _trusted([w - lo + 1 for w in pi[s : e + 1]])
+                if not member(longer, inner):
+                    break
+                end, pat, low = e, longer, lo
+        segments.append((s + 1, end + 1))
+        patterns.append(pat)
+        lows.append(low)
+        s = end + 1
+    # The blocks' value ranges tile 1..n, so ranking their lows by
+    # counting gives the profile without a sort.
+    rank = [0] * (n + 2)
+    for v in lows:
+        rank[v] = 1
+    for v in range(1, n + 1):
+        rank[v] += rank[v - 1]
+    profile = _trusted([rank[v] for v in lows])
     return ProfileDecomposition(profile, tuple(segments), tuple(patterns))
 
 

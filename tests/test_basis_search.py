@@ -153,22 +153,23 @@ class TestWreathBasis:
     def test_matches_independent_oracle(self):
         # Oracle: membership by exhausting deflations, minimality by
         # deleting each point; no shared code with the scanner's greedy
-        # profile route.
-        outer, inner = av(321), av(21)
+        # profile route.  The empty product av(1) wr av(21) has the single
+        # point as its basis.
+        for outer, inner in ((av(321), av(21)), (av(1), av(21))):
 
-        def oracle_member(pi):
-            return any(member(d, outer) for d in all_deflations(pi, inner))
+            def oracle_member(pi):
+                return any(member(d, outer) for d in all_deflations(pi, inner))
 
-        expected = []
-        for pi in perms_up_to(6):
-            if oracle_member(pi):
-                continue
-            if len(pi) == 1 or all(
-                oracle_member(delete_point(pi, q)) for q in range(1, len(pi) + 1)
-            ):
-                expected.append(pi)
-        got = [r.perm for r in wreath_basis(outer, inner, 6)]
-        assert got == sorted(expected, key=lambda q: (len(q), q))
+            expected = []
+            for pi in perms_up_to(7):
+                if oracle_member(pi):
+                    continue
+                if len(pi) == 1 or all(
+                    oracle_member(delete_point(pi, q)) for q in range(1, len(pi) + 1)
+                ):
+                    expected.append(pi)
+            got = [r.perm for r in wreath_basis(outer, inner, 7)]
+            assert got == sorted(expected, key=lambda q: (len(q), q)), (outer, inner)
 
     def test_matches_independent_oracle_deep(self):
         # Same oracle construction, pushed to length 8 for the pair with

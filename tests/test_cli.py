@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import permwreath.basis_search as basis_search
 from permwreath.avoidance import av
 from permwreath.basis_search import verify_basis_element
 from permwreath.cli import (
@@ -240,6 +241,131 @@ class TestStore:
         monkeypatch.setenv("PERMWREATH_STORE", path)
         run("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "3")
         assert store_resume(path) == {"av(21)|av(21)": 3}
+
+
+SCAN = ("basis", "--x", "av(25134)", "--y", "av(321)")
+
+
+def stored_perms(path):
+    return [
+        tuple(obj["payload"]["perm"])
+        for _, obj in store_lines(path)
+        if obj["kind"] == "basis_record"
+    ]
+
+
+@pytest.fixture(scope="module")
+def fresh_scan():
+    """The printed records of a fresh scan to length 7, one per line."""
+    return run(*SCAN, "--max-len", "7").stdout.splitlines()
+
+
+class TestResume:
+    def _resume_from(self, tmp_path, k, *options):
+        path = str(tmp_path / "run.jsonl")
+        if k:
+            run("--store", path, *SCAN, "--max-len", str(k))
+            assert store_resume(path) == {"av(25134)|av(321)": k}
+        return path, run(*options, "--store", path, *SCAN, "--max-len", "7")
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_resume_prints_what_a_fresh_scan_prints_above_k(
+        self, tmp_path, fresh_scan, k
+    ):
+        path, res = self._resume_from(tmp_path, k)
+        assert res.exit_code == 0
+        assert res.stdout.splitlines() == [
+            line for line in fresh_scan if int(line.split()[0]) > k
+        ]
+        perms = stored_perms(path)
+        assert len(perms) == len(set(perms)) == len(fresh_scan)
+        assert store_resume(path) == {"av(25134)|av(321)": 7}
+
+    @pytest.mark.parametrize("k", (1, 2, 4))
+    def test_parallel_resume_matches_serial(self, tmp_path, fresh_scan, k):
+        path, res = self._resume_from(tmp_path, k, "--jobs", "2")
+        assert res.stdout.splitlines() == [
+            line for line in fresh_scan if int(line.split()[0]) > k
+        ]
+        perms = stored_perms(path)
+        assert len(perms) == len(set(perms)) == len(fresh_scan)
+
+    def test_one_length_pass_per_length(self, tmp_path, monkeypatch):
+        real = basis_search.basis_elements_of_length
+        lengths = []
+
+        def spy(outer, inner, n, *rest, **kwargs):
+            lengths.append(n)
+            return real(outer, inner, n, *rest, **kwargs)
+
+        monkeypatch.setattr(basis_search, "basis_elements_of_length", spy)
+        run("--store", str(tmp_path / "run.jsonl"), *SCAN, "--max-len", "6")
+        assert lengths == [1, 2, 3, 4, 5, 6]
+
+    def test_resume_tests_no_more_members_than_a_fresh_scan(
+        self, tmp_path, monkeypatch
+    ):
+        # Deletions of the resumed length are looked up in the rebuilt
+        # member layer, never re-tested, so resuming from 6 costs the same
+        # membership tests as scanning from scratch.
+        real = basis_search.wreath_member
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(basis_search, "wreath_member", counting)
+        path = str(tmp_path / "run.jsonl")
+        run("--store", path, *SCAN, "--max-len", "6")
+        calls[0] = 0
+        run("--store", path, *SCAN, "--max-len", "7")
+        resumed = calls[0]
+        calls[0] = 0
+        run(*SCAN, "--max-len", "7")
+        assert resumed == calls[0]
+
+
+class TestCrashSafeStore:
+    def test_failed_length_commit_leaves_no_duplicates(
+        self, tmp_path, monkeypatch, fresh_scan
+    ):
+        path = str(tmp_path / "run.jsonl")
+        real_fsync = os.fsync
+
+        def failing_fsync(fd):
+            # Fail the first flush that finds a length-6 line in the store,
+            # as a crash in the middle of committing length 6 would.
+            with open(path, encoding="utf-8") as fh:
+                if '"length":6' in fh.read():
+                    monkeypatch.setattr(os, "fsync", real_fsync)
+                    raise OSError("injected failure while committing length 6")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="injected"):
+            run("--store", path, *SCAN, "--max-len", "7")
+        assert os.fsync is real_fsync
+
+        res = run("--store", path, *SCAN, "--max-len", "7")
+        assert res.exit_code == 0
+        perms = stored_perms(path)
+        assert len(perms) == len(set(perms)) == len(fresh_scan)
+        assert sorted(perms) == sorted(
+            tuple(int(d) for d in line.split()[1]) for line in fresh_scan
+        )
+
+    def test_one_fsync_per_length(self, tmp_path, monkeypatch):
+        real_fsync = os.fsync
+        calls = [0]
+
+        def counting(fd):
+            calls[0] += 1
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        run("--store", str(tmp_path / "run.jsonl"), *SCAN, "--max-len", "7")
+        assert calls[0] == 7
 
 
 class TestErrors:

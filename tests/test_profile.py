@@ -1,10 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from permwreath.avoidance import av, member, named
+from permwreath.avoidance import av, class_literal, member, named
+from permwreath.basis_search import FAMILIES
 from permwreath.decomposition import skeleton
-from permwreath.perm_core import CapExceeded, involves, reduce
+from permwreath.perm_core import (
+    CapExceeded,
+    inflate,
+    interval_end_table,
+    involves,
+    reduce,
+)
 from permwreath.profile import (
     ProfileDecomposition,
     all_deflations,
@@ -16,6 +24,52 @@ from permwreath.profile import (
 from conftest import p, perms_up_to
 
 STANDARD_CLASSES = (av(21), av(123), av(321), named("av3412-2413"))
+FAMILY_INNERS = sorted(
+    {inner for fam in FAMILIES.values() for inner in fam.inners}, key=class_literal
+)
+
+
+def descending_greedy_profile(pi, inner):
+    """The greedy kernel as first written, frozen as a reference: it
+    tries every interval end from each start, longest first, and takes
+    each block's pattern with ``reduce``."""
+    n = len(pi)
+    ends = interval_end_table(pi)
+    segments, patterns = [], []
+    s = 1
+    while s <= n:
+        for e in reversed(ends[s]):
+            pat = reduce(pi[s - 1 : e])
+            if member(pat, inner):
+                segments.append((s, e))
+                patterns.append(pat)
+                s = e + 1
+                break
+    profile = reduce([pi[s - 1] for s, _ in segments])
+    return ProfileDecomposition(profile, tuple(segments), tuple(patterns))
+
+
+@st.composite
+def inflation_built(draw, length, depth=3):
+    """A host of the given length built by nested inflations, so that it
+    has long intervals and blocks inside the families' inner classes."""
+    if length == 1:
+        return (1,)
+    shape = draw(st.sampled_from(("increasing", "decreasing", "random", "inflate")))
+    if shape == "increasing":
+        return tuple(range(1, length + 1))
+    if shape == "decreasing":
+        return tuple(range(length, 0, -1))
+    if shape == "random" or depth == 0:
+        return tuple(draw(st.permutations(range(1, length + 1))))
+    m = draw(st.integers(min_value=2, max_value=min(length, 8)))
+    cuts = sorted(
+        draw(st.sets(st.integers(1, length - 1), min_size=m - 1, max_size=m - 1))
+    )
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, length])]
+    skel = draw(st.permutations(range(1, m + 1)))
+    blocks = [draw(inflation_built(size, depth - 1)) for size in sizes]
+    return tuple(inflate(skel, blocks))
 
 
 def deflations_by_mask(pi, inner):
@@ -86,6 +140,22 @@ class TestLeftGreedyProfile:
             shortest = min(len(d) for d in defls)
             assert len(dec.profile) == shortest
             assert sum(1 for d in defls if len(d) == shortest) == 1
+
+    def test_matches_descending_kernel_exhaustively(self):
+        for pi in perms_up_to(7):
+            for inner in STANDARD_CLASSES:
+                assert left_greedy_profile(pi, inner) == descending_greedy_profile(
+                    pi, inner
+                )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=12, max_value=40).flatmap(inflation_built),
+        st.sampled_from(FAMILY_INNERS),
+    )
+    def test_matches_descending_kernel_on_long_hosts(self, vals, inner):
+        pi = p(",".join(map(str, vals)))
+        assert left_greedy_profile(pi, inner) == descending_greedy_profile(pi, inner)
 
     def test_decomposition_validates(self):
         for pi in perms_up_to(6):
