@@ -109,7 +109,7 @@ def member(pi: Sequence[int], cls: PermClass) -> bool:
     """True iff ``pi`` avoids every basis element of ``cls``.
 
     Memoised (bounded LRU); the cache is safe under concurrent readers
-    and writers, and worker processes simply grow their own.
+    and writers.
 
     >>> member(Permutation((2, 5, 1, 3, 7, 6, 4)), av(321))
     False

@@ -18,9 +18,7 @@ the inner classes it defeats.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .avoidance import PermClass, named
@@ -46,15 +44,10 @@ class BasisRecord:
     x_basis: tuple[Permutation, ...]
     y_basis: tuple[Permutation, ...]
     length: int
-    discovered_at: str
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def _record(pi: Permutation, outer: PermClass, inner: PermClass) -> BasisRecord:
-    return BasisRecord(pi, outer.basis, inner.basis, len(pi), _now())
+    return BasisRecord(pi, outer.basis, inner.basis, len(pi))
 
 
 def basis_elements_of_length(
@@ -104,47 +97,24 @@ def basis_elements_of_length(
     return found, members
 
 
-def _scan_partition(args):
-    outer, inner, n, first = args
-    found = []
-    rest = [v for v in range(1, n + 1) if v != first]
-    for tail in itertools.permutations(rest):
-        pi = _trusted((first, *tail))
-        if all(
-            wreath_member(delete_point(pi, q), outer, inner) for q in range(1, n + 1)
-        ) and not wreath_member(pi, outer, inner):
-            found.append(pi)
-    return found
-
-
 def basis_passes(
     outer: PermClass,
     inner: PermClass,
     max_len: int,
     *,
     done: int = 0,
-    jobs: int = 1,
 ) -> Iterator[tuple[int, list[Permutation]]]:
     """Yield (n, basis elements of length n) for n = done+1..max_len.
 
     This is the one basis loop: each length is grown from the previous
     length's members, so lengths up to ``done`` (already reported, e.g.
     by a stored run) are rebuilt silently when there is anything left to
-    scan.  With ``jobs`` > 1 every length from 3 on is partitioned by
-    first entry across worker processes, which test each deletion
-    directly; the result is identical either way.
+    scan.
     """
     if done >= max_len:
         return
     members: list[Permutation] = []
     for n in range(1, max_len + 1):
-        if jobs > 1 and n > 2:
-            if n > done:
-                tasks = [(outer, inner, n, first) for first in range(1, n + 1)]
-                with multiprocessing.Pool(jobs) as pool:
-                    parts = pool.map(_scan_partition, tasks)
-                yield n, sorted(p for part in parts for p in part)
-            continue
         found, members = basis_elements_of_length(
             outer, inner, n, members, keep_members=n < max_len
         )
@@ -158,13 +128,10 @@ def wreath_basis(
     max_len: int,
     *,
     cap: int = BASIS_CAP,
-    jobs: int = 1,
 ) -> list[BasisRecord]:
     """All basis elements of the wreath product up to ``max_len``.
 
-    Ascending by (length, lexicographic order).  With ``jobs`` > 1 the
-    length-n pass is partitioned by first entry across worker processes;
-    the result is identical either way.
+    Ascending by (length, lexicographic order).
 
     >>> from .avoidance import av
     >>> [r.perm for r in wreath_basis(av(21), av(21), 5)]
@@ -174,7 +141,7 @@ def wreath_basis(
         raise CapExceeded(f"max_len {max_len} exceeds the cap {cap}")
     return [
         _record(p, outer, inner)
-        for _, found in basis_passes(outer, inner, max_len, jobs=jobs)
+        for _, found in basis_passes(outer, inner, max_len)
         for p in found
     ]
 

@@ -18,7 +18,6 @@ them.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -61,13 +60,9 @@ class MinimalBlock:
         return tuple(self.host[s - 1 : e])
 
 
-def _minimal_span(
-    pi: Sequence[int], i: int, j: int, schedule: str = "batch"
-) -> tuple[int, int]:
+def _minimal_span(pi: Sequence[int], i: int, j: int) -> tuple[int, int]:
     # Closure expansion: widen the position range to cover the value
-    # range and vice versa until stable.  The closure point is unique,
-    # so the expansion schedule cannot matter; "single" widens one value
-    # at a time and exists so tests can confirm exactly that.
+    # range and vice versa until stable.
     pos_of = {v: p for p, v in enumerate(pi, start=1)}
     lo, hi = i, j
     while True:
@@ -76,8 +71,6 @@ def _minimal_span(
         missing = [v for v in range(vlo, vhi + 1) if not lo <= pos_of[v] <= hi]
         if not missing:
             return lo, hi
-        if schedule == "single":
-            missing = [max(missing)]
         for v in missing:
             p = pos_of[v]
             if p < lo:
@@ -134,10 +127,6 @@ def _slice_direction(q: Point, rect):
         if val < vmin:
             return DOWN
     return None
-
-
-def _valid_pin(q: Point, rect) -> bool:
-    return not _inside(q, rect) and _slice_direction(q, rect) is not None
 
 
 def _separates(q: Point, prev: Point, rect2) -> bool:
@@ -340,58 +329,6 @@ def pin_word_points(word: PinWord) -> tuple[Permutation, tuple[tuple[int, int], 
 
 # --- reaching sequences -----------------------------------------------
 
-def _saturated_pins(block_pts: list, p1, p2) -> list:
-    # Grow a (not necessarily proper) pin sequence until its rectangle
-    # encloses the whole block, taking each pin maximal in its
-    # direction, directions preferred in the order R, U, L, D.
-    pins = [p1, p2]
-    while True:
-        rect = _bbox(pins)
-        remaining = [q for q in block_pts if not _inside(q, rect)]
-        if not remaining:
-            return pins
-        by_dir: dict = {}
-        for q in remaining:
-            d = _slice_direction(q, rect)
-            if d is None:
-                continue
-            cur = by_dir.get(d)
-            if cur is None or _further(q, cur, d):
-                by_dir[d] = q
-        for d in (RIGHT, UP, LEFT, DOWN):
-            if d in by_dir:
-                pins.append(by_dir[d])
-                break
-        else:
-            raise AssertionError(
-                "stuck before saturation; the block is not minimal"
-            )
-
-
-def _extract_reaching(pins: list, target_idx: int):
-    # Walk backwards from the target pin, repeatedly taking the shortest
-    # prefix after which the current pin is still a valid pin; the
-    # visited pins, reversed, follow the first two as a candidate proper
-    # sequence.  Returns None when the walk gets stuck.
-    if target_idx <= 1:
-        return [pins[0], pins[1]]
-    chain = [target_idx]
-    cur = target_idx
-    while True:
-        found = None
-        for t in range(1, cur):
-            if _valid_pin(pins[cur], _bbox(pins[: t + 1])):
-                found = t
-                break
-        if found is None:
-            return None
-        if found == 1:
-            break
-        chain.append(found)
-        cur = found
-    return [pins[0], pins[1], *(pins[i] for i in reversed(chain))]
-
-
 def _proper_candidates(block_pts: list, pins: list) -> list:
     rect = _bbox(pins)
     rect2 = _bbox(pins[:-1])
@@ -410,6 +347,9 @@ def _proper_candidates(block_pts: list, pins: list) -> list:
 
 
 def _dfs_reaching(block_pts: list, p1, p2, target):
+    # Depth-first over proper pins, trying R, U, L, D in that order.  A
+    # proper reaching sequence always exists (Brignall, Huczynska and
+    # Vatter), so the search only has to find one.
     stack = [[p1, p2]]
     while stack:
         pins = stack.pop()
@@ -429,25 +369,6 @@ def _reaching(pi: Permutation, i: int, j: int, side: str) -> PinSequence:
     target = (e, pi[e - 1]) if side == "right" else (s, pi[s - 1])
     if target in (p1, p2):
         return classify_pins(pi, (p1, p2))
-
-    saturated = _saturated_pins(block_pts, p1, p2)
-    if target in saturated:
-        candidate = _extract_reaching(saturated, saturated.index(target))
-        if candidate is not None:
-            try:
-                seq = classify_pins(pi, candidate)
-            except PinConditionError:
-                seq = None
-            if (
-                seq is not None
-                and all(seq.proper_flags[2:])
-                and seq.pins[-1] == target
-            ):
-                return seq
-
-    # The backward extraction occasionally produces a sequence that
-    # fails properness wholesale; the guarantee is only existence, so
-    # fall back to an exhaustive search over proper pins.
     found = _dfs_reaching(block_pts, p1, p2, target)
     if found is None:
         raise RuntimeError(
@@ -505,12 +426,7 @@ def _expand_alive(word: PinWord, inner: PermClass) -> list[PinWord]:
     return out
 
 
-def _probe_task(args):
-    word, inner = args
-    return _expand_alive(word, inner)
-
-
-def pin_probe(inner: PermClass, cap: int, *, jobs: int = 1) -> PinProbeResult:
+def pin_probe(inner: PermClass, cap: int) -> PinProbeResult:
     """Search for the point where every proper pin sequence leaves ``inner``.
 
     Level k holds the permutations realised by proper pin sequences of
@@ -533,12 +449,7 @@ def pin_probe(inner: PermClass, cap: int, *, jobs: int = 1) -> PinProbeResult:
     if not frontier:
         return PinProbeResult(0, False, ())
     for level in range(1, cap + 1):
-        if jobs > 1 and len(frontier) > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                chunks = pool.map(_probe_task, [(w, inner) for w in frontier])
-            nxt = [w for chunk in chunks for w in chunk]
-        else:
-            nxt = [w for word in frontier for w in _expand_alive(word, inner)]
+        nxt = [w for word in frontier for w in _expand_alive(word, inner)]
         if not nxt:
             return PinProbeResult(level, False, ())
         frontier = nxt

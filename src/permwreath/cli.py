@@ -9,8 +9,9 @@ Store files hold one JSON object per line, schema
 ``{"kind", "schema_version", "payload"}``, append-only.  A basis run
 writes each finished length's records together with its completion
 marker in one write, so re-running a completed length is a no-op and a
-crash never leaves records without their marker; corrupt lines are a
-hard error naming the line number.
+crash never leaves records without their marker.  A final line torn by
+a crash mid-write is cut off with a warning; any other corrupt line is
+a hard error naming the line number.
 """
 
 from __future__ import annotations
@@ -161,11 +162,30 @@ def store_lines(path: str) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
+def _trim_torn_tail(path: str) -> None:
+    # A crash in the middle of a write can leave a final line without
+    # its newline.  If it does not parse it is cut off; if it does, it
+    # gets its newline, so the next append starts a line of its own.
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if not data or data.endswith(b"\n"):
+            return
+        cut = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[cut:])
+        except ValueError:
+            fh.truncate(cut)
+            print(f"warning: {path}: dropped a torn final line", file=sys.stderr)
+        else:
+            fh.write(b"\n")
+
+
 def store_resume(path: str) -> dict[str, int]:
     """Max completed basis length per job key, from the marker lines."""
     done: dict[str, int] = {}
     if not os.path.exists(path):
         return done
+    _trim_torn_tail(path)
     for _, obj in store_lines(path):
         if obj["kind"] == "length_complete":
             payload = obj["payload"]
@@ -184,7 +204,6 @@ def _basis_payload(rec: BasisRecord) -> dict:
         "x_basis": [list(b) for b in rec.x_basis],
         "y_basis": [list(b) for b in rec.y_basis],
         "length": rec.length,
-        "discovered_at": rec.discovered_at,
     }
 
 
@@ -236,7 +255,6 @@ def _build_parser() -> _Parser:
         default=os.environ.get(STORE_ENV),
         help=f"result store path (default ${STORE_ENV})",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     sub = p.add_subparsers(dest="command", required=True)
 
     def cmd(name, **kw):
@@ -493,7 +511,7 @@ def _run(ns) -> CommandResult:
 
     if ns.command == "pin-probe":
         inner = parse_class(ns.y)
-        result = pin_probe(inner, ns.pin_cap, jobs=ns.jobs)
+        result = pin_probe(inner, ns.pin_cap)
         if as_json:
             out = _json_line(
                 {
@@ -616,9 +634,7 @@ def _run_basis(ns, as_json) -> CommandResult:
     key = _job_key(outer, inner)
     completed = store_resume(ns.store).get(key, 0) if ns.store else 0
     lines = []
-    for n, found in basis_passes(
-        outer, inner, ns.max_len, done=completed, jobs=ns.jobs
-    ):
+    for n, found in basis_passes(outer, inner, ns.max_len, done=completed):
         payloads = [_basis_payload(_record(p, outer, inner)) for p in found]
         if ns.store:
             store_commit_length(ns.store, key, n, payloads)

@@ -235,28 +235,7 @@ def occurrences(sigma: Sequence[int], pi: Sequence[int]) -> int:
     >>> occurrences(Permutation((1,)), Permutation((3, 1, 2)))
     3
     """
-    sig = tuple(sigma)
-    host = tuple(pi)
-    k, n = len(sig), len(host)
-    if k > n:
-        return 0
-    lo, hi = _nearest_neighbours(sig)
-    chosen = [0] * k
-
-    def go(t: int, start: int) -> int:
-        if t == k:
-            return 1
-        lo_v = chosen[lo[t]] if lo[t] >= 0 else 0
-        hi_v = chosen[hi[t]] if hi[t] >= 0 else n + 1
-        total = 0
-        for p in range(start, n - (k - t) + 1):
-            v = host[p]
-            if lo_v < v < hi_v:
-                chosen[t] = v
-                total += go(t + 1, p + 1)
-        return total
-
-    return go(0, 0)
+    return sum(1 for _ in occurrence_positions(sigma, pi))
 
 
 def occurrence_positions(
