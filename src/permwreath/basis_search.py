@@ -126,8 +126,6 @@ def wreath_basis(
     outer: PermClass,
     inner: PermClass,
     max_len: int,
-    *,
-    cap: int = BASIS_CAP,
 ) -> list[BasisRecord]:
     """All basis elements of the wreath product up to ``max_len``.
 
@@ -137,8 +135,8 @@ def wreath_basis(
     >>> [r.perm for r in wreath_basis(av(21), av(21), 5)]
     [Permutation([2, 1])]
     """
-    if max_len > cap:
-        raise CapExceeded(f"max_len {max_len} exceeds the cap {cap}")
+    if max_len > BASIS_CAP:
+        raise CapExceeded(f"max_len {max_len} exceeds the cap {BASIS_CAP}")
     return [
         _record(p, outer, inner)
         for _, found in basis_passes(outer, inner, max_len)

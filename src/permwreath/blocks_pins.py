@@ -10,16 +10,14 @@ could do so.
 
 Pin words give proper pin sequences a free-standing form: an origin pair
 (rising or falling) plus letters over L, R, U, D with consecutive
-letters perpendicular.  Realising a word on a fractional grid and
-reducing yields a permutation, and every proper pin sequence of a given
-shape realises the same pattern, so searching over words covers all of
-them.
+letters perpendicular.  Realising a word by integer ranks yields a
+permutation, and every proper pin sequence of a given shape realises the
+same pattern, so searching over words covers all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .avoidance import PermClass, member
@@ -97,7 +95,7 @@ def minimal_block(pi: Sequence[int], i: int, j: int) -> MinimalBlock:
 
 # --- rectangles and pin conditions ------------------------------------
 
-Point = tuple  # (position, value); integral for hosts, Fractions while realising
+Point = tuple  # (position, value)
 
 
 def _bbox(pts: Sequence[Point]) -> tuple:
@@ -155,6 +153,26 @@ def _further(a: Point, b: Point, direction: str) -> bool:
     return a[1] < b[1]
 
 
+def _proper_pins(pts: Iterable[Point], pins: Sequence[Point]) -> dict:
+    # The proper next pin in each direction: among the points of ``pts``
+    # that slice rect(pins) and separate the last pin from the rectangle
+    # of the earlier ones, the furthest in its direction.
+    rect = _bbox(pins)
+    rect2 = _bbox(pins[:-1])
+    prev = pins[-1]
+    by_dir: dict = {}
+    for q in pts:
+        if _inside(q, rect):
+            continue
+        d = _slice_direction(q, rect)
+        if d is None or not _separates(q, prev, rect2):
+            continue
+        cur = by_dir.get(d)
+        if cur is None or _further(q, cur, d):
+            by_dir[d] = q
+    return by_dir
+
+
 @dataclass(frozen=True)
 class PinSequence:
     """A validated pin sequence of a host permutation.
@@ -207,21 +225,7 @@ def classify_pins(host: Sequence[int], pin_points: Iterable) -> PinSequence:
                 idx + 1, "does not slice the rectangle of the earlier pins"
             )
         directions.append(d)
-        rect2 = _bbox(pts[: idx - 1])
-        prev = pts[idx - 1]
-        if not _separates(p, prev, rect2):
-            proper.append(False)
-            continue
-        best = p
-        for q in host_points:
-            if (
-                not _inside(q, rect)
-                and _slice_direction(q, rect) == d
-                and _separates(q, prev, rect2)
-                and _further(q, best, d)
-            ):
-                best = q
-        proper.append(best == p)
+        proper.append(_proper_pins(host_points, pts[:idx]).get(d) == p)
     return PinSequence(host, pts, tuple(directions), tuple(proper))
 
 
@@ -261,48 +265,37 @@ def parse_pin_word(text: str) -> PinWord:
     return PinWord(origin.strip(), letters.strip().upper())
 
 
-def _realize(word: PinWord) -> list[tuple[Fraction, Fraction]]:
-    # Place the pins on a fractional grid: each new pin goes one step
-    # beyond the extreme in its direction and at the dyadic midpoint of
-    # the channel separating the previous pin from the earlier
-    # rectangle.  Every proper pin sequence with this word realises the
-    # same pattern, so the construction is canonical as well as valid.
-    zero, one = Fraction(0), Fraction(1)
-    if word.origin == "12":
-        pts = [(zero, zero), (one, one)]
-    else:
-        pts = [(zero, one), (one, zero)]
+def pin_word_points(word: PinWord) -> tuple[Permutation, tuple[tuple[int, int], ...]]:
+    """Realise a word and return (host permutation, pins as host points).
+
+    >>> pin_word_points(PinWord("12", "UR"))
+    (Permutation([1, 4, 2, 3]), ((1, 1), (3, 2), (2, 4), (4, 3)))
+    """
+    # Place the pins by integer rank.  Only pins are in the plot, so the
+    # channel separating the previous pin from the earlier rectangle is
+    # empty: the new pin takes the rank ``cut`` at that rectangle's edge,
+    # every rank from ``cut`` up moves up by one, and on the other axis
+    # the pin goes one step beyond the extreme in its direction.  Every
+    # proper pin sequence with this word realises the same pattern, so
+    # the construction is canonical as well as valid.
+    pos = [1, 2]
+    val = [1, 2] if word.origin == "12" else [2, 1]
     for ch in word.letters:
-        prev = pts[-1]
-        pmin, pmax, vmin, vmax = _bbox(pts[:-1])
-        if ch in _HORIZONTAL:
-            pval = prev[1]
-            if pval > vmax:
-                val = (pval + vmax) / 2
-            elif pval < vmin:
-                val = (pval + vmin) / 2
-            else:
-                raise ValueError(f"letter {ch!r} has no separating channel")
-            pos = (
-                max(p for p, _ in pts) + 1
-                if ch == "R"
-                else min(p for p, _ in pts) - 1
-            )
+        # ``cross`` is the axis the pin slices, ``along`` the one it leaves by.
+        cross, along = (val, pos) if ch in _HORIZONTAL else (pos, val)
+        lo, hi = min(cross[:-1]), max(cross[:-1])
+        cut = hi + 1 if cross[-1] > hi else lo
+        cross[:] = [c + 1 if c >= cut else c for c in cross]
+        cross.append(cut)
+        if ch in "RU":
+            along.append(len(along) + 1)
         else:
-            ppos = prev[0]
-            if ppos > pmax:
-                pos = (ppos + pmax) / 2
-            elif ppos < pmin:
-                pos = (ppos + pmin) / 2
-            else:
-                raise ValueError(f"letter {ch!r} has no separating channel")
-            val = (
-                max(v for _, v in pts) + 1
-                if ch == "U"
-                else min(v for _, v in pts) - 1
-            )
-        pts.append((pos, val))
-    return pts
+            along[:] = [c + 1 for c in along]
+            along.append(1)
+    host = [0] * len(pos)
+    for p, v in zip(pos, val):
+        host[p - 1] = v
+    return _trusted(host), tuple(zip(pos, val))
 
 
 def pin_word_to_perm(word: PinWord) -> Permutation:
@@ -311,52 +304,25 @@ def pin_word_to_perm(word: PinWord) -> Permutation:
     >>> pin_word_to_perm(PinWord("12", "UR"))
     Permutation([1, 4, 2, 3])
     """
-    pts = _realize(word)
-    pts.sort()
-    return reduce([v for _, v in pts])
-
-
-def pin_word_points(word: PinWord) -> tuple[Permutation, tuple[tuple[int, int], ...]]:
-    """Realise a word and return (host permutation, pins as host points)."""
-    pts = _realize(word)
-    pos_rank = {p: r for r, p in enumerate(sorted(p for p, _ in pts), start=1)}
-    val_rank = {v: r for r, v in enumerate(sorted(v for _, v in pts), start=1)}
-    host = _trusted(
-        val_rank[v] for _, v in sorted(pts)
-    )
-    return host, tuple((pos_rank[p], val_rank[v]) for p, v in pts)
+    return pin_word_points(word)[0]
 
 
 # --- reaching sequences -----------------------------------------------
 
-def _proper_candidates(block_pts: list, pins: list) -> list:
-    rect = _bbox(pins)
-    rect2 = _bbox(pins[:-1])
-    prev = pins[-1]
-    by_dir: dict = {}
-    for q in block_pts:
-        if _inside(q, rect):
-            continue
-        d = _slice_direction(q, rect)
-        if d is None or not _separates(q, prev, rect2):
-            continue
-        cur = by_dir.get(d)
-        if cur is None or _further(q, cur, d):
-            by_dir[d] = q
-    return [by_dir[d] for d in (RIGHT, UP, LEFT, DOWN) if d in by_dir]
-
-
 def _dfs_reaching(block_pts: list, p1, p2, target):
-    # Depth-first over proper pins, trying R, U, L, D in that order.  A
-    # proper reaching sequence always exists (Brignall, Huczynska and
-    # Vatter), so the search only has to find one.
+    # Depth-first over proper pins, trying R, U, L, D in that order (so
+    # they are pushed in reverse).  A proper reaching sequence always
+    # exists (Brignall, Huczynska and Vatter), so the search only has to
+    # find one.
     stack = [[p1, p2]]
     while stack:
         pins = stack.pop()
         if pins[-1] == target:
             return pins
-        for cand in reversed(_proper_candidates(block_pts, pins)):
-            stack.append(pins + [cand])
+        cands = _proper_pins(block_pts, pins)
+        for d in (DOWN, LEFT, UP, RIGHT):
+            if d in cands:
+                stack.append(pins + [cands[d]])
     return None
 
 

@@ -342,7 +342,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--x", required=True)
     q.add_argument("--y", required=True)
     q.add_argument("--max-len", type=int, required=True)
-    q.add_argument("--enum-cap", type=int, default=BASIS_CAP)
 
     q = cmd("verify-basis", help="is this permutation minimally outside?")
     q.add_argument("pi")
@@ -629,8 +628,8 @@ def _format_pin_sequence(seq, as_json) -> str:
 def _run_basis(ns, as_json) -> CommandResult:
     outer = parse_class(ns.x)
     inner = parse_class(ns.y)
-    if ns.max_len > ns.enum_cap:
-        raise CapExceeded(f"max_len {ns.max_len} exceeds the cap {ns.enum_cap}")
+    if ns.max_len > BASIS_CAP:
+        raise CapExceeded(f"max_len {ns.max_len} exceeds the cap {BASIS_CAP}")
     key = _job_key(outer, inner)
     completed = store_resume(ns.store).get(key, 0) if ns.store else 0
     lines = []

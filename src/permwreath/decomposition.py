@@ -23,6 +23,7 @@ from .perm_core import (
     _trusted,
     decreasing,
     identity,
+    interval_end_table,
     intervals,
     reduce,
 )
@@ -121,21 +122,18 @@ def substitution_decomposition(pi: Sequence[int]) -> SubstitutionDecomposition:
             segs = _segments_from_cuts(cuts, n)
             skel = decreasing(len(segs))
         else:
-            proper = [iv for iv in intervals(pi) if iv != (1, n)]
-            segs = [
-                (s, e)
-                for s, e in proper
-                if not any(
-                    (s2, e2) != (s, e) and s2 <= s and e <= e2
-                    for s2, e2 in proper
-                )
-            ]
-            segs.sort()
-            skel = reduce([pi[s - 1] for s, _ in segs])
             # The maximal proper intervals tile the host exactly when it
-            # is neither sum nor skew decomposable.
-            assert [s for s, _ in segs] == [1] + [e + 1 for _, e in segs[:-1]]
-            assert segs[-1][1] == n and is_simple(skel) and len(skel) >= 4
+            # is neither sum nor skew decomposable, so the longest proper
+            # interval from each start is the next block.
+            ends = interval_end_table(pi)
+            segs = []
+            s = 1
+            while s <= n:
+                e = max(e for e in ends[s] if e - s < n - 1)
+                segs.append((s, e))
+                s = e + 1
+            skel = reduce([pi[s - 1] for s, _ in segs])
+            assert is_simple(skel) and len(skel) >= 4
 
     patterns = tuple(reduce(pi[s - 1 : e]) for s, e in segs)
     return SubstitutionDecomposition(skel, tuple(segs), patterns)

@@ -1,11 +1,19 @@
-import pytest
-from hypothesis import given, strategies as st
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from permwreath import blocks_pins
 from permwreath.avoidance import av, member, named
 from permwreath.blocks_pins import (
     PinConditionError,
     PinWord,
+    _bbox,
+    _further,
+    _inside,
     _minimal_span,
+    _separates,
+    _slice_direction,
     classify_pins,
     left_reaching,
     minimal_block,
@@ -15,7 +23,7 @@ from permwreath.blocks_pins import (
     pin_word_to_perm,
     right_reaching,
 )
-from permwreath.perm_core import involves, reduce
+from permwreath.perm_core import _trusted, involves, points, reduce
 
 from conftest import p, perms_up_to
 
@@ -23,6 +31,125 @@ from conftest import p, perms_up_to
 # properness outcomes.
 MIXED_HOST = p("3,10,1,7,11,4,9,5,6,2,8")
 MIXED_PINS = [(4, 7), (6, 4), (8, 5), (7, 9), (9, 6), (11, 8), (10, 2), (1, 3)]
+
+
+def fraction_realize(word):
+    """The pin-word realiser as first written, frozen as a reference: it
+    places each pin on a fractional grid, one step beyond the extreme in
+    its direction and at the midpoint of the separating channel."""
+    zero, one = Fraction(0), Fraction(1)
+    if word.origin == "12":
+        pts = [(zero, zero), (one, one)]
+    else:
+        pts = [(zero, one), (one, zero)]
+    for ch in word.letters:
+        prev = pts[-1]
+        pmin, pmax, vmin, vmax = _bbox(pts[:-1])
+        if ch in "LR":
+            pval = prev[1]
+            if pval > vmax:
+                val = (pval + vmax) / 2
+            elif pval < vmin:
+                val = (pval + vmin) / 2
+            else:
+                raise ValueError(f"letter {ch!r} has no separating channel")
+            pos = (
+                max(p for p, _ in pts) + 1
+                if ch == "R"
+                else min(p for p, _ in pts) - 1
+            )
+        else:
+            ppos = prev[0]
+            if ppos > pmax:
+                pos = (ppos + pmax) / 2
+            elif ppos < pmin:
+                pos = (ppos + pmin) / 2
+            else:
+                raise ValueError(f"letter {ch!r} has no separating channel")
+            val = (
+                max(v for _, v in pts) + 1
+                if ch == "U"
+                else min(v for _, v in pts) - 1
+            )
+        pts.append((pos, val))
+    return pts
+
+
+def fraction_pin_word_points(word):
+    """Reference (host, pins) for a word: the fractional points reduced
+    to ranks."""
+    pts = fraction_realize(word)
+    pos_rank = {p: r for r, p in enumerate(sorted(p for p, _ in pts), start=1)}
+    val_rank = {v: r for r, v in enumerate(sorted(v for _, v in pts), start=1)}
+    host = _trusted(val_rank[v] for _, v in sorted(pts))
+    return host, tuple((pos_rank[p], val_rank[v]) for p, v in pts)
+
+
+def all_pin_words(max_letters):
+    """Every pin word of up to ``max_letters`` letters, from both origins."""
+    for origin in ("12", "21"):
+        level = [""]
+        for _ in range(max_letters + 1):
+            yield from (PinWord(origin, letters) for letters in level)
+            level = [
+                letters + ch
+                for letters in level
+                for ch in ("LRUD" if not letters else (
+                    "UD" if letters[-1] in "LR" else "LR"
+                ))
+            ]
+
+
+def loop_proper_flags(host, pts):
+    """The per-pin properness loop as first written, frozen as a
+    reference: a separating pin is proper when no host point that slices
+    the same way and also separates lies further in its direction."""
+    host_points = points(host)
+    flags = [None, None]
+    for idx in range(2, len(pts)):
+        p = pts[idx]
+        rect = _bbox(pts[:idx])
+        d = _slice_direction(p, rect)
+        rect2 = _bbox(pts[: idx - 1])
+        prev = pts[idx - 1]
+        if not _separates(p, prev, rect2):
+            flags.append(False)
+            continue
+        best = p
+        for q in host_points:
+            if (
+                not _inside(q, rect)
+                and _slice_direction(q, rect) == d
+                and _separates(q, prev, rect2)
+                and _further(q, best, d)
+            ):
+                best = q
+        flags.append(best == p)
+    return tuple(flags)
+
+
+@st.composite
+def pin_sequences(draw):
+    """A host of length 3-12 and a valid pin sequence of its points: two
+    distinct starting points, then up to n - 2 slicing points, stopping
+    early when none is left."""
+    n = draw(st.integers(3, 12))
+    host = _trusted(draw(st.permutations(range(1, n + 1))))
+    host_points = points(host)
+    pts = draw(
+        st.lists(st.sampled_from(host_points), min_size=2, max_size=2, unique=True)
+    )
+    for _ in range(draw(st.integers(1, n - 2))):
+        rect = _bbox(pts)
+        slicing = [
+            q
+            for q in host_points
+            if not _inside(q, rect) and _slice_direction(q, rect)
+        ]
+        if not slicing:
+            break
+        pts.append(draw(st.sampled_from(slicing)))
+    return host, pts
 
 
 def brute_minimal_block(pi, i, j):
@@ -126,6 +253,12 @@ class TestClassifyPins:
         with pytest.raises(ValueError):
             classify_pins(p("2413"), [(1, 2)])
 
+    @settings(max_examples=300, deadline=None)
+    @given(pin_sequences())
+    def test_properness_matches_per_pin_loop(self, drawn):
+        host, pts = drawn
+        assert classify_pins(host, pts).proper_flags == loop_proper_flags(host, pts)
+
 
 class TestPinWords:
     def test_validation(self):
@@ -173,6 +306,10 @@ class TestPinWords:
             host, pts = pin_word_points(parse_pin_word(text))
             seq = classify_pins(host, pts)
             assert all(seq.proper_flags[2:])
+
+    def test_matches_fractional_realiser(self):
+        for word in all_pin_words(10):
+            assert pin_word_points(word) == fraction_pin_word_points(word), word
 
     @given(st.sampled_from(["12", "21"]), st.data())
     def test_prefix_embeds(self, origin, data):
@@ -265,6 +402,19 @@ class TestPinProbe:
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             pin_probe(av(21), 0)
+
+    @pytest.mark.parametrize(
+        "cls", [av(321), named("widdershins-y")], ids=["av321", "widdershins-y"]
+    )
+    def test_matches_probe_on_fractional_realiser(self, cls, monkeypatch):
+        result = pin_probe(cls, 12)
+        assert result.exceeded and result.witnesses
+        monkeypatch.setattr(
+            blocks_pins,
+            "pin_word_to_perm",
+            lambda word: fraction_pin_word_points(word)[0],
+        )
+        assert pin_probe(cls, 12) == result
 
     def test_empty_class_threshold_zero(self):
         assert pin_probe(av(1), 5).threshold == 0

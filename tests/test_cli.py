@@ -417,6 +417,11 @@ class TestErrors:
                   "--max-len", "3")
         assert res.exit_code == 2
 
+    def test_enum_cap_option_is_gone(self):
+        res = run("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "3",
+                  "--enum-cap", "5")
+        assert res.exit_code == 2
+
     def test_unknown_class(self):
         assert run("member", "123", "av-nonsense").exit_code == 2
 

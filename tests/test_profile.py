@@ -141,6 +141,17 @@ class TestLeftGreedyProfile:
             assert len(dec.profile) == shortest
             assert sum(1 for d in defls if len(d) == shortest) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=9, max_value=10).flatmap(inflation_built))
+    def test_shortest_and_unique_on_longer_hosts(self, vals):
+        pi = p(",".join(map(str, vals)))
+        for inner in STANDARD_CLASSES:
+            defls = all_deflations(pi, inner)
+            shortest = min(len(d) for d in defls)
+            assert [d for d in defls if len(d) == shortest] == [
+                left_greedy_profile(pi, inner).profile
+            ]
+
     def test_matches_descending_kernel_exhaustively(self):
         for pi in perms_up_to(7):
             for inner in STANDARD_CLASSES:
