@@ -26,7 +26,7 @@ from .perm_core import (
     parse_perm,
 )
 
-#: Default bound for exhaustive enumeration of class members by length.
+#: Bound on the length of exhaustive enumeration of class members.
 ENUM_CAP = 10
 
 #: Entries kept by the membership memo (it is consulted heavily by the
@@ -119,9 +119,7 @@ def member(pi: Sequence[int], cls: PermClass) -> bool:
     return _member(pi, cls)
 
 
-def enumerate_members(
-    cls: PermClass, n: int, *, cap: int = ENUM_CAP
-) -> list[Permutation]:
+def enumerate_members(cls: PermClass, n: int) -> list[Permutation]:
     """All members of ``cls`` of length ``n``, in lexicographic order.
 
     Members are grown by inserting the new maximum into shorter members
@@ -130,8 +128,8 @@ def enumerate_members(
     """
     if n < 1:
         raise ValueError("length must be positive")
-    if n > cap:
-        raise CapExceeded(f"enumeration length {n} exceeds the cap {cap}")
+    if n > ENUM_CAP:
+        raise CapExceeded(f"enumeration length {n} exceeds the cap {ENUM_CAP}")
     layer = [ONE] if member(ONE, cls) else []
     for m in range(2, n + 1):
         grown = []

@@ -32,7 +32,7 @@ from .perm_core import (
 )
 from .profile import wreath_member
 
-#: Default bound on exhaustive basis enumeration.
+#: Bound on the length of exhaustive basis enumeration.
 BASIS_CAP = 11
 
 

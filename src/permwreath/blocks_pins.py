@@ -127,22 +127,6 @@ def _slice_direction(q: Point, rect):
     return None
 
 
-def _separates(q: Point, prev: Point, rect2) -> bool:
-    # Does q lie between prev and rect2, by position or by value?
-    pos, val = q
-    ppos, pval = prev
-    pmin, pmax, vmin, vmax = rect2
-    if ppos > pmax and pmax < pos < ppos:
-        return True
-    if ppos < pmin and ppos < pos < pmin:
-        return True
-    if pval > vmax and vmax < val < pval:
-        return True
-    if pval < vmin and pval < val < vmin:
-        return True
-    return False
-
-
 def _further(a: Point, b: Point, direction: str) -> bool:
     if direction == RIGHT:
         return a[0] > b[0]
@@ -156,20 +140,24 @@ def _further(a: Point, b: Point, direction: str) -> bool:
 def _proper_pins(pts: Iterable[Point], pins: Sequence[Point]) -> dict:
     # The proper next pin in each direction: among the points of ``pts``
     # that slice rect(pins) and separate the last pin from the rectangle
-    # of the earlier ones, the furthest in its direction.
+    # of the earlier ones, the furthest in its direction.  A point
+    # separates them exactly when it lies in the channel between them, a
+    # band of values or of positions.
     rect = _bbox(pins)
-    rect2 = _bbox(pins[:-1])
-    prev = pins[-1]
+    qmin, qmax, wmin, wmax = _bbox(pins[:-1])
+    ppos, pval = pins[-1]
     by_dir: dict = {}
     for q in pts:
-        if _inside(q, rect):
-            continue
-        d = _slice_direction(q, rect)
-        if d is None or not _separates(q, prev, rect2):
-            continue
-        cur = by_dir.get(d)
-        if cur is None or _further(q, cur, d):
-            by_dir[d] = q
+        pos, val = q
+        if (
+            wmax < val < pval
+            or pval < val < wmin
+            or qmax < pos < ppos
+            or ppos < pos < qmin
+        ):
+            d = _slice_direction(q, rect)
+            if d is not None and (d not in by_dir or _further(q, by_dir[d], d)):
+                by_dir[d] = q
     return by_dir
 
 

@@ -5,6 +5,12 @@ branch: 0 for an affirmative outcome, 1 for a negative verdict, 2 for
 usage errors, 3 when a cap or limit got in the way.  ``--json`` switches
 every command to structured output.
 
+Each subcommand's parser names its handler (``set_defaults(run=...)``).
+A handler takes the parsed namespace and returns the triple
+``(exit code, JSON objects, text lines)``; :func:`_run` prints the
+objects one JSON line each under ``--json`` and the text lines
+otherwise, so no handler looks at the output mode.
+
 Store files hold one JSON object per line, schema
 ``{"kind", "schema_version", "payload"}``, append-only.  A basis run
 writes each finished length's records together with its completion
@@ -33,12 +39,10 @@ from .avoidance import (
 from .basis_search import (
     BASIS_CAP,
     FAMILIES,
-    BasisRecord,
     antichain_member,
     basis_passes,
     check_antichain,
     verify_basis_element,
-    _record,
 )
 from .blocks_pins import (
     PinConditionError,
@@ -62,12 +66,7 @@ from .perm_core import (
     parse_perm,
     reduce,
 )
-from .profile import (
-    DEFLATION_CAP,
-    all_deflations,
-    left_greedy_profile,
-    wreath_member,
-)
+from .profile import all_deflations, left_greedy_profile, wreath_member
 
 STORE_ENV = "PERMWREATH_STORE"
 SCHEMA_VERSION = 1
@@ -198,16 +197,20 @@ def _job_key(outer: PermClass, inner: PermClass) -> str:
     return f"{class_literal(outer)}|{class_literal(inner)}"
 
 
-def _basis_payload(rec: BasisRecord) -> dict:
+def _basis_payload(pi: Permutation, outer: PermClass, inner: PermClass) -> dict:
     return {
-        "perm": list(rec.perm),
-        "x_basis": [list(b) for b in rec.x_basis],
-        "y_basis": [list(b) for b in rec.y_basis],
-        "length": rec.length,
+        "perm": list(pi),
+        "x_basis": [list(b) for b in outer.basis],
+        "y_basis": [list(b) for b in inner.basis],
+        "length": len(pi),
     }
 
 
-# --- small helpers ------------------------------------------------------
+# --- output helpers -----------------------------------------------------
+
+# What a command handler returns: (exit code, JSON objects, text lines).
+Output = tuple[int, list, list[str]]
+
 
 def ascii_plot(pi: Permutation) -> str:
     """An n-by-n dot grid of the plot, top value first."""
@@ -218,25 +221,36 @@ def ascii_plot(pi: Permutation) -> str:
     return "\n".join(rows)
 
 
-def _perm(text: str, max_len: int) -> Permutation:
-    return parse_perm(text, max_len=max_len)
-
-
 def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _verdict(flag: bool, yes: str, no: str, as_json: bool, key: str) -> CommandResult:
-    if as_json:
-        out = _json_line({key: flag})
-    else:
-        out = yes if flag else no
-    return CommandResult(EXIT_OK if flag else EXIT_NEGATIVE, out)
+def _verdict(flag: bool, key: str, yes: str, no: str) -> Output:
+    return EXIT_OK if flag else EXIT_NEGATIVE, [{key: flag}], [yes if flag else no]
 
 
-def _maybe_plot(lines: list[str], pi: Permutation, want: bool) -> None:
-    if want:
-        lines.append(ascii_plot(pi))
+def _block_lines(segments, patterns) -> list[str]:
+    return [
+        f"block {s}..{e}: {format_perm(pat)}"
+        for (s, e), pat in zip(segments, patterns)
+    ]
+
+
+def _pin_sequence(seq) -> Output:
+    lines = []
+    for idx, ((p, v), d, flag) in enumerate(
+        zip(seq.pins, seq.directions, seq.proper_flags), start=1
+    ):
+        if d is None:
+            lines.append(f"p{idx} ({p},{v})")
+        else:
+            lines.append(f"p{idx} ({p},{v}) {d} {'proper' if flag else 'not proper'}")
+    obj = {
+        "pins": [list(p) for p in seq.pins],
+        "directions": list(seq.directions),
+        "proper": list(seq.proper_flags),
+    }
+    return EXIT_OK, [obj], lines
 
 
 # --- argument wiring ----------------------------------------------------
@@ -257,106 +271,110 @@ def _build_parser() -> _Parser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def cmd(name, **kw):
-        return sub.add_parser(name, **kw)
+    def cmd(group, name, run, summary):
+        q = group.add_parser(name, help=summary)
+        q.set_defaults(run=run)
+        return q
 
-    q = cmd("involve", help="does the first permutation occur in the second?")
+    q = cmd(sub, "involve", _involve, "does the first permutation occur in the second?")
     q.add_argument("sigma")
     q.add_argument("pi")
 
-    q = cmd("occurrences", help="count occurrences of a pattern")
+    q = cmd(sub, "occurrences", _occurrences, "count occurrences of a pattern")
     q.add_argument("sigma")
     q.add_argument("pi")
 
-    q = cmd("inflate", help="inflate a permutation by blocks")
+    q = cmd(sub, "inflate", _inflate, "inflate a permutation by blocks")
     q.add_argument("skeleton")
     q.add_argument("blocks", nargs="+")
 
-    q = cmd("reduce", help="the pattern of a sequence of distinct integers")
+    q = cmd(sub, "reduce", _reduce, "the pattern of a sequence of distinct integers")
     q.add_argument("entries", nargs="+")
     q.add_argument("--ascii-plot", action="store_true")
 
-    q = cmd("intervals", help="all contiguous-value segments")
+    q = cmd(sub, "intervals", _intervals, "all contiguous-value segments")
     q.add_argument("pi")
 
-    q = cmd("simple", help="is the permutation simple?")
+    q = cmd(sub, "simple", _simple, "is the permutation simple?")
     q.add_argument("pi")
 
-    q = cmd("skeleton", help="the simple permutation underneath")
+    q = cmd(sub, "skeleton", _skeleton, "the simple permutation underneath")
     q.add_argument("pi")
 
-    q = cmd("decompose", help="substitution decomposition")
+    q = cmd(sub, "decompose", _decompose, "substitution decomposition")
     q.add_argument("pi")
 
-    q = cmd("member", help="class membership")
+    q = cmd(sub, "member", _member, "class membership")
     q.add_argument("pi")
     q.add_argument("cls", metavar="class")
 
-    q = cmd("enumerate", help="members of a class by length")
+    q = cmd(sub, "enumerate", _enumerate, "members of a class by length")
     q.add_argument("cls", metavar="class")
     q.add_argument("n", type=int)
-    q.add_argument("--max-len", type=int, default=10, help="enumeration cap")
 
-    q = cmd("profile", help="shortest deflation with blocks in a class")
+    q = cmd(sub, "profile", _profile, "shortest deflation with blocks in a class")
     q.add_argument("pi")
     q.add_argument("--y", required=True, help="block class")
     q.add_argument("--blocks", action="store_true", help="show the blocks")
     q.add_argument("--ascii-plot", action="store_true")
 
-    q = cmd("deflations", help="every deflation with blocks in a class")
+    q = cmd(sub, "deflations", _deflations, "every deflation with blocks in a class")
     q.add_argument("pi")
     q.add_argument("--y", required=True)
-    q.add_argument("--max-len", type=int, default=DEFLATION_CAP)
 
-    q = cmd("wreath-member", help="membership in a wreath product")
+    q = cmd(sub, "wreath-member", _wreath_member, "membership in a wreath product")
     q.add_argument("pi")
     q.add_argument("--x", required=True, help="outer class")
     q.add_argument("--y", required=True, help="inner (block) class")
 
-    q = cmd("minblock", help="minimal block on two positions")
+    q = cmd(sub, "minblock", _minblock, "minimal block on two positions")
     q.add_argument("pi")
     q.add_argument("i", type=int)
     q.add_argument("j", type=int)
     q.add_argument("--ascii-plot", action="store_true")
 
-    pins = cmd("pins", help="pin-sequence tools").add_subparsers(
+    pins = sub.add_parser("pins", help="pin-sequence tools").add_subparsers(
         dest="pins_command", required=True
     )
-    q = pins.add_parser("classify", help="validate and classify pin points")
+    q = cmd(pins, "classify", _pins_classify, "validate and classify pin points")
     q.add_argument("pi")
     q.add_argument("positions", nargs="+", type=int)
-    q = pins.add_parser("word", help="realise a pin word, e.g. 12:URUR")
+    q = cmd(pins, "word", _pins_word, "realise a pin word, e.g. 12:URUR")
     q.add_argument("word")
     q.add_argument("--ascii-plot", action="store_true")
-    q = pins.add_parser("reach", help="proper reaching sequence in a minimal block")
+    q = cmd(pins, "reach", _pins_reach, "proper reaching sequence in a minimal block")
     q.add_argument("pi")
     q.add_argument("i", type=int)
     q.add_argument("j", type=int)
     q.add_argument("--side", choices=("right", "left"), default="right")
 
-    q = cmd("pin-probe", help="bounded search for the pin threshold of a class")
+    q = cmd(
+        sub, "pin-probe", _pin_probe, "bounded search for the pin threshold of a class"
+    )
     q.add_argument("--y", required=True)
     q.add_argument("--pin-cap", type=int, default=20)
 
-    q = cmd("basis", help="basis of a wreath product up to a length")
+    q = cmd(sub, "basis", _basis, "basis of a wreath product up to a length")
     q.add_argument("--x", required=True)
     q.add_argument("--y", required=True)
     q.add_argument("--max-len", type=int, required=True)
 
-    q = cmd("verify-basis", help="is this permutation minimally outside?")
+    q = cmd(
+        sub, "verify-basis", _verify_basis, "is this permutation minimally outside?"
+    )
     q.add_argument("pi")
     q.add_argument("--x", required=True)
     q.add_argument("--y", required=True)
 
-    anti = cmd("antichain", help="antichain families").add_subparsers(
+    anti = sub.add_parser("antichain", help="antichain families").add_subparsers(
         dest="antichain_command", required=True
     )
-    q = anti.add_parser("gen", help="generate a family member")
+    q = cmd(anti, "gen", _antichain_gen, "generate a family member")
     q.add_argument("family", choices=sorted(FAMILIES))
     q.add_argument("k", type=int)
     q.add_argument("--upto", action="store_true", help="members 1..k")
     q.add_argument("--ascii-plot", action="store_true")
-    q = anti.add_parser("check", help="pairwise incomparability")
+    q = cmd(anti, "check", _antichain_check, "pairwise incomparability")
     q.add_argument("perms", nargs="+")
 
     return p
@@ -365,283 +383,219 @@ def _build_parser() -> _Parser:
 # --- command bodies -----------------------------------------------------
 
 def _run(ns) -> CommandResult:
+    code, objects, lines = ns.run(ns)
+    if ns.json:
+        lines = [_json_line(obj) for obj in objects]
+    return CommandResult(code, "\n".join(lines))
+
+
+def _involve(ns) -> Output:
+    sigma = parse_perm(ns.sigma, max_len=ns.max_perm_len)
+    pi = parse_perm(ns.pi, max_len=ns.max_perm_len)
+    return _verdict(involves(sigma, pi), "involves", "yes", "no")
+
+
+def _occurrences(ns) -> Output:
+    sigma = parse_perm(ns.sigma, max_len=ns.max_perm_len)
+    count = occurrences(sigma, parse_perm(ns.pi, max_len=ns.max_perm_len))
+    return EXIT_OK, [{"occurrences": count}], [str(count)]
+
+
+def _inflate(ns) -> Output:
     cap = ns.max_perm_len
-    as_json = ns.json
-
-    if ns.command == "involve":
-        sigma, pi = _perm(ns.sigma, cap), _perm(ns.pi, cap)
-        return _verdict(involves(sigma, pi), "yes", "no", as_json, "involves")
-
-    if ns.command == "occurrences":
-        count = occurrences(_perm(ns.sigma, cap), _perm(ns.pi, cap))
-        out = _json_line({"occurrences": count}) if as_json else str(count)
-        return CommandResult(EXIT_OK, out)
-
-    if ns.command == "inflate":
-        skel = _perm(ns.skeleton, cap)
-        blocks = [_perm(b, cap) for b in ns.blocks]
-        result = inflate(skel, blocks, max_len=cap)
-        out = _json_line({"perm": list(result)}) if as_json else format_perm(result)
-        return CommandResult(EXIT_OK, out)
-
-    if ns.command == "reduce":
-        entries = " ".join(ns.entries).replace(",", " ").split()
-        result = reduce([int(e) for e in entries])
-        if as_json:
-            return CommandResult(EXIT_OK, _json_line({"perm": list(result)}))
-        lines = [format_perm(result)]
-        _maybe_plot(lines, result, ns.ascii_plot)
-        return CommandResult(EXIT_OK, "\n".join(lines))
-
-    if ns.command == "intervals":
-        pi = _perm(ns.pi, cap)
-        segs = intervals(pi)
-        if as_json:
-            return CommandResult(EXIT_OK, _json_line({"intervals": segs}))
-        return CommandResult(EXIT_OK, "\n".join(f"{s}..{e}" for s, e in segs))
-
-    if ns.command == "simple":
-        return _verdict(
-            is_simple(_perm(ns.pi, cap)), "simple", "not simple", as_json, "simple"
-        )
-
-    if ns.command == "skeleton":
-        result = skeleton(_perm(ns.pi, cap))
-        out = _json_line({"perm": list(result)}) if as_json else format_perm(result)
-        return CommandResult(EXIT_OK, out)
-
-    if ns.command == "decompose":
-        pi = _perm(ns.pi, cap)
-        d = substitution_decomposition(pi)
-        if as_json:
-            return CommandResult(
-                EXIT_OK,
-                _json_line(
-                    {
-                        "skeleton": list(d.skeleton),
-                        "segments": list(d.block_segments),
-                        "blocks": [list(b) for b in d.block_patterns],
-                    }
-                ),
-            )
-        lines = [f"skeleton: {format_perm(d.skeleton)}"]
-        for (s, e), pat in zip(d.block_segments, d.block_patterns):
-            lines.append(f"block {s}..{e}: {format_perm(pat)}")
-        return CommandResult(EXIT_OK, "\n".join(lines))
-
-    if ns.command == "member":
-        ok = member(_perm(ns.pi, cap), parse_class(ns.cls))
-        return _verdict(ok, "member", "non-member", as_json, "member")
-
-    if ns.command == "enumerate":
-        cls = parse_class(ns.cls)
-        perms = enumerate_members(cls, ns.n, cap=ns.max_len)
-        if as_json:
-            return CommandResult(
-                EXIT_OK,
-                _json_line({"count": len(perms), "perms": [list(p) for p in perms]}),
-            )
-        return CommandResult(EXIT_OK, "\n".join(format_perm(p) for p in perms))
-
-    if ns.command == "profile":
-        pi = _perm(ns.pi, cap)
-        dec = left_greedy_profile(pi, parse_class(ns.y))
-        if as_json:
-            return CommandResult(
-                EXIT_OK,
-                _json_line(
-                    {
-                        "profile": list(dec.profile),
-                        "segments": list(dec.segments),
-                        "blocks": [list(b) for b in dec.block_patterns],
-                    }
-                ),
-            )
-        lines = [format_perm(dec.profile)]
-        if ns.blocks:
-            for (s, e), pat in zip(dec.segments, dec.block_patterns):
-                lines.append(f"block {s}..{e}: {format_perm(pat)}")
-        _maybe_plot(lines, dec.profile, ns.ascii_plot)
-        return CommandResult(EXIT_OK, "\n".join(lines))
-
-    if ns.command == "deflations":
-        pi = _perm(ns.pi, cap)
-        defs = sorted(
-            all_deflations(pi, parse_class(ns.y), cap=ns.max_len),
-            key=lambda p: (len(p), p),
-        )
-        if as_json:
-            return CommandResult(
-                EXIT_OK, _json_line({"deflations": [list(p) for p in defs]})
-            )
-        return CommandResult(EXIT_OK, "\n".join(format_perm(p) for p in defs))
-
-    if ns.command == "wreath-member":
-        ok = wreath_member(_perm(ns.pi, cap), parse_class(ns.x), parse_class(ns.y))
-        return _verdict(ok, "member", "non-member", as_json, "member")
-
-    if ns.command == "minblock":
-        pi = _perm(ns.pi, cap)
-        mb = minimal_block(pi, ns.i, ns.j)
-        if as_json:
-            return CommandResult(
-                EXIT_OK,
-                _json_line(
-                    {
-                        "pos_range": mb.pos_range,
-                        "val_range": mb.val_range,
-                        "values": list(mb.values),
-                        "pattern": list(mb.pattern),
-                    }
-                ),
-            )
-        s, e = mb.pos_range
-        lo, hi = mb.val_range
-        lines = [
-            f"positions {s}..{e}",
-            f"values {lo}..{hi}",
-            f"pattern {format_perm(mb.pattern)}",
-        ]
-        _maybe_plot(lines, mb.pattern, ns.ascii_plot)
-        return CommandResult(EXIT_OK, "\n".join(lines))
-
-    if ns.command == "pins":
-        return _run_pins(ns, cap, as_json)
-
-    if ns.command == "pin-probe":
-        inner = parse_class(ns.y)
-        result = pin_probe(inner, ns.pin_cap)
-        if as_json:
-            out = _json_line(
-                {
-                    "threshold": result.threshold,
-                    "exceeded": result.exceeded,
-                    "witnesses": [str(w) for w in result.witnesses],
-                }
-            )
-        elif result.exceeded:
-            shown = ", ".join(str(w) for w in result.witnesses[:4])
-            more = len(result.witnesses) - 4
-            tail = f" (+{more} more)" if more > 0 else ""
-            out = f"exceeded cap {ns.pin_cap}; surviving words: {shown}{tail}"
-        else:
-            out = f"threshold = {result.threshold}"
-        return CommandResult(EXIT_LIMIT if result.exceeded else EXIT_OK, out)
-
-    if ns.command == "basis":
-        return _run_basis(ns, as_json)
-
-    if ns.command == "verify-basis":
-        res = verify_basis_element(
-            _perm(ns.pi, cap), parse_class(ns.x), parse_class(ns.y)
-        )
-        if as_json:
-            out = _json_line(
-                {
-                    "ok": res.ok,
-                    "reason": res.reason,
-                    "deleted_position": res.deleted_position,
-                    "witness": list(res.witness) if res.witness else None,
-                }
-            )
-        elif res.ok:
-            out = "basis element"
-        elif res.witness is not None:
-            out = f"not a basis element: {res.reason} ({format_perm(res.witness)})"
-        else:
-            out = f"not a basis element: {res.reason}"
-        return CommandResult(EXIT_OK if res.ok else EXIT_NEGATIVE, out)
-
-    if ns.command == "antichain":
-        if ns.antichain_command == "gen":
-            ks = range(1, ns.k + 1) if ns.upto else [ns.k]
-            perms = [antichain_member(ns.family, k) for k in ks]
-            if as_json:
-                return CommandResult(
-                    EXIT_OK, _json_line({"perms": [list(p) for p in perms]})
-                )
-            lines = []
-            for p in perms:
-                lines.append(format_perm(p))
-                _maybe_plot(lines, p, ns.ascii_plot)
-            return CommandResult(EXIT_OK, "\n".join(lines))
-        perms = [_perm(t, cap) for t in ns.perms]
-        ok = check_antichain(perms)
-        return _verdict(ok, "antichain", "not an antichain", as_json, "antichain")
-
-    raise UsageError(f"unknown command {ns.command!r}")
+    skel = parse_perm(ns.skeleton, max_len=cap)
+    result = inflate(skel, [parse_perm(b, max_len=cap) for b in ns.blocks], max_len=cap)
+    return EXIT_OK, [{"perm": list(result)}], [format_perm(result)]
 
 
-def _run_pins(ns, cap, as_json) -> CommandResult:
-    if ns.pins_command == "classify":
-        pi = _perm(ns.pi, cap)
-        pts = [(p, pi[p - 1] if 1 <= p <= len(pi) else 0) for p in ns.positions]
-        try:
-            seq = classify_pins(pi, pts)
-        except PinConditionError as exc:
-            out = (
-                _json_line({"valid": False, "error": str(exc)})
-                if as_json
-                else f"invalid: {exc}"
-            )
-            return CommandResult(EXIT_NEGATIVE, out)
-        return CommandResult(EXIT_OK, _format_pin_sequence(seq, as_json))
+def _reduce(ns) -> Output:
+    entries = " ".join(ns.entries).replace(",", " ").split()
+    result = reduce([int(e) for e in entries])
+    lines = [format_perm(result)]
+    if ns.ascii_plot:
+        lines.append(ascii_plot(result))
+    return EXIT_OK, [{"perm": list(result)}], lines
 
-    if ns.pins_command == "word":
-        word = parse_pin_word(ns.word)
-        result = pin_word_to_perm(word)
-        if as_json:
-            return CommandResult(
-                EXIT_OK, _json_line({"word": str(word), "perm": list(result)})
-            )
-        lines = [format_perm(result)]
-        _maybe_plot(lines, result, ns.ascii_plot)
-        return CommandResult(EXIT_OK, "\n".join(lines))
 
-    pi = _perm(ns.pi, cap)
-    seq = right_reaching(pi, ns.i, ns.j) if ns.side == "right" else left_reaching(
-        pi, ns.i, ns.j
+def _intervals(ns) -> Output:
+    segs = intervals(parse_perm(ns.pi, max_len=ns.max_perm_len))
+    return EXIT_OK, [{"intervals": segs}], [f"{s}..{e}" for s, e in segs]
+
+
+def _simple(ns) -> Output:
+    flag = is_simple(parse_perm(ns.pi, max_len=ns.max_perm_len))
+    return _verdict(flag, "simple", "simple", "not simple")
+
+
+def _skeleton(ns) -> Output:
+    result = skeleton(parse_perm(ns.pi, max_len=ns.max_perm_len))
+    return EXIT_OK, [{"perm": list(result)}], [format_perm(result)]
+
+
+def _decompose(ns) -> Output:
+    d = substitution_decomposition(parse_perm(ns.pi, max_len=ns.max_perm_len))
+    obj = {
+        "skeleton": list(d.skeleton),
+        "segments": list(d.block_segments),
+        "blocks": [list(b) for b in d.block_patterns],
+    }
+    lines = [f"skeleton: {format_perm(d.skeleton)}"]
+    lines += _block_lines(d.block_segments, d.block_patterns)
+    return EXIT_OK, [obj], lines
+
+
+def _member(ns) -> Output:
+    pi = parse_perm(ns.pi, max_len=ns.max_perm_len)
+    return _verdict(member(pi, parse_class(ns.cls)), "member", "member", "non-member")
+
+
+def _enumerate(ns) -> Output:
+    perms = enumerate_members(parse_class(ns.cls), ns.n)
+    obj = {"count": len(perms), "perms": [list(p) for p in perms]}
+    return EXIT_OK, [obj], [format_perm(p) for p in perms]
+
+
+def _profile(ns) -> Output:
+    pi = parse_perm(ns.pi, max_len=ns.max_perm_len)
+    dec = left_greedy_profile(pi, parse_class(ns.y))
+    obj = {
+        "profile": list(dec.profile),
+        "segments": list(dec.segments),
+        "blocks": [list(b) for b in dec.block_patterns],
+    }
+    lines = [format_perm(dec.profile)]
+    if ns.blocks:
+        lines += _block_lines(dec.segments, dec.block_patterns)
+    if ns.ascii_plot:
+        lines.append(ascii_plot(dec.profile))
+    return EXIT_OK, [obj], lines
+
+
+def _deflations(ns) -> Output:
+    pi = parse_perm(ns.pi, max_len=ns.max_perm_len)
+    defs = sorted(all_deflations(pi, parse_class(ns.y)), key=lambda p: (len(p), p))
+    return (
+        EXIT_OK,
+        [{"deflations": [list(p) for p in defs]}],
+        [format_perm(p) for p in defs],
     )
-    return CommandResult(EXIT_OK, _format_pin_sequence(seq, as_json))
 
 
-def _format_pin_sequence(seq, as_json) -> str:
-    if as_json:
-        return _json_line(
-            {
-                "pins": [list(p) for p in seq.pins],
-                "directions": list(seq.directions),
-                "proper": list(seq.proper_flags),
-            }
-        )
-    lines = []
-    for idx, (p, v) in enumerate(seq.pins, start=1):
-        d = seq.directions[idx - 1]
-        flag = seq.proper_flags[idx - 1]
-        if d is None:
-            lines.append(f"p{idx} ({p},{v})")
-        else:
-            lines.append(f"p{idx} ({p},{v}) {d} {'proper' if flag else 'not proper'}")
-    return "\n".join(lines)
+def _wreath_member(ns) -> Output:
+    pi = parse_perm(ns.pi, max_len=ns.max_perm_len)
+    flag = wreath_member(pi, parse_class(ns.x), parse_class(ns.y))
+    return _verdict(flag, "member", "member", "non-member")
 
 
-def _run_basis(ns, as_json) -> CommandResult:
+def _minblock(ns) -> Output:
+    mb = minimal_block(parse_perm(ns.pi, max_len=ns.max_perm_len), ns.i, ns.j)
+    obj = {
+        "pos_range": mb.pos_range,
+        "val_range": mb.val_range,
+        "values": list(mb.values),
+        "pattern": list(mb.pattern),
+    }
+    (s, e), (lo, hi) = mb.pos_range, mb.val_range
+    lines = [
+        f"positions {s}..{e}",
+        f"values {lo}..{hi}",
+        f"pattern {format_perm(mb.pattern)}",
+    ]
+    if ns.ascii_plot:
+        lines.append(ascii_plot(mb.pattern))
+    return EXIT_OK, [obj], lines
+
+
+def _pins_classify(ns) -> Output:
+    pi = parse_perm(ns.pi, max_len=ns.max_perm_len)
+    pts = [(p, pi[p - 1] if 1 <= p <= len(pi) else 0) for p in ns.positions]
+    try:
+        seq = classify_pins(pi, pts)
+    except PinConditionError as exc:
+        return EXIT_NEGATIVE, [{"valid": False, "error": str(exc)}], [f"invalid: {exc}"]
+    return _pin_sequence(seq)
+
+
+def _pins_word(ns) -> Output:
+    word = parse_pin_word(ns.word)
+    result = pin_word_to_perm(word)
+    lines = [format_perm(result)]
+    if ns.ascii_plot:
+        lines.append(ascii_plot(result))
+    return EXIT_OK, [{"word": str(word), "perm": list(result)}], lines
+
+
+def _pins_reach(ns) -> Output:
+    pi = parse_perm(ns.pi, max_len=ns.max_perm_len)
+    reach = right_reaching if ns.side == "right" else left_reaching
+    return _pin_sequence(reach(pi, ns.i, ns.j))
+
+
+def _pin_probe(ns) -> Output:
+    result = pin_probe(parse_class(ns.y), ns.pin_cap)
+    obj = {
+        "threshold": result.threshold,
+        "exceeded": result.exceeded,
+        "witnesses": [str(w) for w in result.witnesses],
+    }
+    if not result.exceeded:
+        return EXIT_OK, [obj], [f"threshold = {result.threshold}"]
+    shown = ", ".join(str(w) for w in result.witnesses[:4])
+    more = len(result.witnesses) - 4
+    tail = f" (+{more} more)" if more > 0 else ""
+    text = f"exceeded cap {ns.pin_cap}; surviving words: {shown}{tail}"
+    return EXIT_LIMIT, [obj], [text]
+
+
+def _basis(ns) -> Output:
     outer = parse_class(ns.x)
     inner = parse_class(ns.y)
     if ns.max_len > BASIS_CAP:
         raise CapExceeded(f"max_len {ns.max_len} exceeds the cap {BASIS_CAP}")
     key = _job_key(outer, inner)
     completed = store_resume(ns.store).get(key, 0) if ns.store else 0
-    lines = []
+    payloads, lines = [], []
     for n, found in basis_passes(outer, inner, ns.max_len, done=completed):
-        payloads = [_basis_payload(_record(p, outer, inner)) for p in found]
+        batch = [_basis_payload(p, outer, inner) for p in found]
         if ns.store:
-            store_commit_length(ns.store, key, n, payloads)
-        for payload, p in zip(payloads, found):
-            lines.append(
-                _json_line(payload) if as_json else f"{n} {format_perm(p)}"
-            )
-    return CommandResult(EXIT_OK, "\n".join(lines))
+            store_commit_length(ns.store, key, n, batch)
+        payloads += batch
+        lines += [f"{n} {format_perm(p)}" for p in found]
+    return EXIT_OK, payloads, lines
+
+
+def _verify_basis(ns) -> Output:
+    pi = parse_perm(ns.pi, max_len=ns.max_perm_len)
+    res = verify_basis_element(pi, parse_class(ns.x), parse_class(ns.y))
+    obj = {
+        "ok": res.ok,
+        "reason": res.reason,
+        "deleted_position": res.deleted_position,
+        "witness": list(res.witness) if res.witness else None,
+    }
+    if res.ok:
+        return EXIT_OK, [obj], ["basis element"]
+    text = f"not a basis element: {res.reason}"
+    if res.witness is not None:
+        text += f" ({format_perm(res.witness)})"
+    return EXIT_NEGATIVE, [obj], [text]
+
+
+def _antichain_gen(ns) -> Output:
+    ks = range(1, ns.k + 1) if ns.upto else [ns.k]
+    perms = [antichain_member(ns.family, k) for k in ks]
+    lines = []
+    for p in perms:
+        lines.append(format_perm(p))
+        if ns.ascii_plot:
+            lines.append(ascii_plot(p))
+    return EXIT_OK, [{"perms": [list(p) for p in perms]}], lines
+
+
+def _antichain_check(ns) -> Output:
+    perms = [parse_perm(t, max_len=ns.max_perm_len) for t in ns.perms]
+    flag = check_antichain(perms)
+    return _verdict(flag, "antichain", "antichain", "not an antichain")
 
 
 def execute(argv: list[str]) -> CommandResult:

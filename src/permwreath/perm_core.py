@@ -125,8 +125,7 @@ def reduce(seq: Sequence) -> Permutation:
     """The unique permutation order isomorphic to ``seq``.
 
     Entries must be distinct but need not be integers; anything with a
-    total order works (internally pin constructions reduce fractional
-    coordinates).  Idempotent on permutations.
+    total order works.  Idempotent on permutations.
 
     >>> reduce((3, 5, 4, 7))
     Permutation([1, 3, 2, 4])
@@ -164,12 +163,6 @@ def delete_point(pi: Sequence[int], pos: int) -> Permutation:
         for i, v in enumerate(pi, start=1)
         if i != pos
     )
-
-
-def reverse_complement(pi: Sequence[int]) -> Permutation:
-    """Rotate the plot of ``pi`` by a half turn."""
-    n = len(pi)
-    return _trusted(n + 1 - v for v in reversed(pi))
 
 
 @lru_cache(maxsize=4096)
@@ -314,15 +307,6 @@ def intervals(pi: Sequence[int]) -> list[tuple[int, int]]:
     """
     table = interval_end_table(pi)
     return [(s, e) for s in range(1, len(pi) + 1) for e in table[s]]
-
-
-def is_interval(pi: Sequence[int], start: int, end: int) -> bool:
-    """Whether positions start..end (1-based, inclusive) form an interval."""
-    n = len(pi)
-    if not 1 <= start <= end <= n:
-        raise ValueError(f"segment {start}..{end} out of range 1..{n}")
-    seg = pi[start - 1 : end]
-    return max(seg) - min(seg) == end - start
 
 
 def interval_end_table(pi: Sequence[int]) -> list[list[int]]:

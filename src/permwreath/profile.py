@@ -27,7 +27,7 @@ from .perm_core import (
     reduce,
 )
 
-#: Default bound for the brute-force deflation scan (2^(n-1) segmentations).
+#: Bound on the brute-force deflation scan (2^(n-1) segmentations).
 DEFLATION_CAP = 10
 
 
@@ -117,9 +117,7 @@ def wreath_member(pi: Sequence[int], outer: PermClass, inner: PermClass) -> bool
     return member(left_greedy_profile(pi, inner).profile, outer)
 
 
-def all_deflations(
-    pi: Sequence[int], inner: PermClass, *, cap: int = DEFLATION_CAP
-) -> set[Permutation]:
+def all_deflations(pi: Sequence[int], inner: PermClass) -> set[Permutation]:
     """Every deflation of ``pi`` whose blocks all lie in ``inner``.
 
     Brute force over consecutive segmentations, keeping those in which
@@ -129,8 +127,10 @@ def all_deflations(
     """
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
     n = len(pi)
-    if n > cap:
-        raise CapExceeded(f"deflation scan of length {n} exceeds the cap {cap}")
+    if n > DEFLATION_CAP:
+        raise CapExceeded(
+            f"deflation scan of length {n} exceeds the cap {DEFLATION_CAP}"
+        )
     ends = interval_end_table(pi)
     pattern_cache: dict[tuple[int, int], Permutation] = {}
 

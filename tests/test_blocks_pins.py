@@ -12,7 +12,6 @@ from permwreath.blocks_pins import (
     _further,
     _inside,
     _minimal_span,
-    _separates,
     _slice_direction,
     classify_pins,
     left_reaching,
@@ -98,6 +97,22 @@ def all_pin_words(max_letters):
                     "UD" if letters[-1] in "LR" else "LR"
                 ))
             ]
+
+
+def _separates(q, prev, rect2):
+    # Does q lie between prev and rect2, by position or by value?
+    pos, val = q
+    ppos, pval = prev
+    pmin, pmax, vmin, vmax = rect2
+    if ppos > pmax and pmax < pos < ppos:
+        return True
+    if ppos < pmin and ppos < pos < pmin:
+        return True
+    if pval > vmax and vmax < val < pval:
+        return True
+    if pval < vmin and pval < val < vmin:
+        return True
+    return False
 
 
 def loop_proper_flags(host, pts):
@@ -365,6 +380,9 @@ class TestReaching:
                     for fn, tpos in ((right_reaching, e), (left_reaching, s)):
                         seq = fn(pi, i, j)
                         assert all(seq.proper_flags[2:]), (pi, i, j)
+                        assert seq.proper_flags == loop_proper_flags(
+                            pi, seq.pins
+                        ), (pi, i, j)
                         assert seq.pins[-1][0] == tpos or (
                             len(seq.pins) == 2
                             and any(q[0] == tpos for q in seq.pins)

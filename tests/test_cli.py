@@ -438,3 +438,454 @@ class TestErrors:
         assert run("simple", long_perm).exit_code == 3
         # raising the cap lets the identity through (it is not simple)
         assert run("--max-perm-len", "80", "simple", long_perm).exit_code == 1
+
+
+# The exact stdout and exit code of one command line per subcommand and
+# outcome, in text and in --json mode.  Usage errors and limits print
+# the same in both modes.
+LONG = " ".join(str(v) for v in range(1, 70))
+
+GOLDEN = [
+    (("involve", "21", "12"), 1, "no", '{"involves": false}'),
+    (("involve", "1324", "6351427"), 0, "yes", '{"involves": true}'),
+    (("occurrences", "321", "2513764"), 0, "1", '{"occurrences": 1}'),
+    (
+        ("inflate", "132", "21", "2413", "321"),
+        0,
+        "217968543",
+        '{"perm": [2, 1, 7, 9, 6, 8, 5, 4, 3]}',
+    ),
+    (("reduce", "3,5,4,7"), 0, "1324", '{"perm": [1, 3, 2, 4]}'),
+    (
+        ("reduce", "20,40,10,30", "--ascii-plot"),
+        0,
+        (
+            "2413",
+            ".*..",
+            "...*",
+            "*...",
+            "..*.",
+        ),
+        '{"perm": [2, 4, 1, 3]}',
+    ),
+    (
+        ("intervals", "2413"),
+        0,
+        (
+            "1..1",
+            "1..4",
+            "2..2",
+            "3..3",
+            "4..4",
+        ),
+        '{"intervals": [[1, 1], [1, 4], [2, 2], [3, 3], [4, 4]]}',
+    ),
+    (
+        ("intervals", "236745981"),
+        0,
+        (
+            "1..1",
+            "1..2",
+            "1..6",
+            "1..8",
+            "1..9",
+            "2..2",
+            "2..6",
+            "2..8",
+            "3..3",
+            "3..4",
+            "3..6",
+            "3..8",
+            "4..4",
+            "5..5",
+            "5..6",
+            "6..6",
+            "7..7",
+            "7..8",
+            "8..8",
+            "9..9",
+        ),
+        '{"intervals": [[1, 1], [1, 2], [1, 6], [1, 8], [1, 9], [2, 2], [2, 6], [2, 8], [3, 3], [3, 4], [3, 6], [3, 8], [4, 4], [5, 5], [5, 6], [6, 6], [7, 7], [7, 8], [8, 8], [9, 9]]}',
+    ),
+    (("simple", "2413"), 0, "simple", '{"simple": true}'),
+    (("simple", "132"), 1, "not simple", '{"simple": false}'),
+    (("skeleton", "346215"), 0, "2413", '{"perm": [2, 4, 1, 3]}'),
+    (
+        ("decompose", "217968543"),
+        0,
+        (
+            "skeleton: 12",
+            "block 1..2: 21",
+            "block 3..9: 5746321",
+        ),
+        '{"blocks": [[2, 1], [5, 7, 4, 6, 3, 2, 1]], "segments": [[1, 2], [3, 9]], "skeleton": [1, 2]}',
+    ),
+    (
+        ("decompose", "25314"),
+        0,
+        (
+            "skeleton: 25314",
+            "block 1..1: 1",
+            "block 2..2: 1",
+            "block 3..3: 1",
+            "block 4..4: 1",
+            "block 5..5: 1",
+        ),
+        '{"blocks": [[1], [1], [1], [1], [1]], "segments": [[1, 1], [2, 2], [3, 3], [4, 4], [5, 5]], "skeleton": [2, 5, 3, 1, 4]}',
+    ),
+    (("member", "2513764", "av(321)"), 1, "non-member", '{"member": false}'),
+    (("member", "123", "av321"), 0, "member", '{"member": true}'),
+    (("enumerate", "av(21)", "4"), 0, "1234", '{"count": 1, "perms": [[1, 2, 3, 4]]}'),
+    (
+        ("enumerate", "av321", "4"),
+        0,
+        (
+            "1234",
+            "1243",
+            "1324",
+            "1342",
+            "1423",
+            "2134",
+            "2143",
+            "2314",
+            "2341",
+            "2413",
+            "3124",
+            "3142",
+            "3412",
+            "4123",
+        ),
+        '{"count": 14, "perms": [[1, 2, 3, 4], [1, 2, 4, 3], [1, 3, 2, 4], [1, 3, 4, 2], [1, 4, 2, 3], [2, 1, 3, 4], [2, 1, 4, 3], [2, 3, 1, 4], [2, 3, 4, 1], [2, 4, 1, 3], [3, 1, 2, 4], [3, 1, 4, 2], [3, 4, 1, 2], [4, 1, 2, 3]]}',
+    ),
+    (
+        ("enumerate", "av(321)", "11"),
+        3,
+        "limit: enumeration length 11 exceeds the cap 10",
+        "limit: enumeration length 11 exceeds the cap 10",
+    ),
+    (
+        ("profile", "3415672", "--y", "av(21)"),
+        0,
+        "3142",
+        '{"blocks": [[1, 2], [1], [1, 2, 3], [1]], "profile": [3, 1, 4, 2], "segments": [[1, 2], [3, 3], [4, 6], [7, 7]]}',
+    ),
+    (
+        ("profile", "2513764", "--y", "av(321)", "--blocks", "--ascii-plot"),
+        0,
+        (
+            "251364",
+            "block 1..1: 1",
+            "block 2..2: 1",
+            "block 3..3: 1",
+            "block 4..4: 1",
+            "block 5..6: 21",
+            "block 7..7: 1",
+            "....*.",
+            ".*....",
+            ".....*",
+            "...*..",
+            "*.....",
+            "..*...",
+        ),
+        '{"blocks": [[1], [1], [1], [1], [2, 1], [1]], "profile": [2, 5, 1, 3, 6, 4], "segments": [[1, 1], [2, 2], [3, 3], [4, 4], [5, 6], [7, 7]]}',
+    ),
+    (
+        ("deflations", "234615", "--y", "av(123)"),
+        0,
+        (
+            "23514",
+            "234615",
+        ),
+        '{"deflations": [[2, 3, 5, 1, 4], [2, 3, 4, 6, 1, 5]]}',
+    ),
+    (
+        ("deflations", "10 1 8 4 6 9 11 7 5 2 3", "--y", "av(21)"),
+        3,
+        "limit: deflation scan of length 11 exceeds the cap 10",
+        "limit: deflation scan of length 11 exceeds the cap 10",
+    ),
+    (
+        ("wreath-member", "2513764", "--x", "av(25134)", "--y", "av(321)"),
+        1,
+        "non-member",
+        '{"member": false}',
+    ),
+    (
+        ("wreath-member", "251364", "--x", "av(25134)", "--y", "av(321)"),
+        0,
+        "member",
+        '{"member": true}',
+    ),
+    (
+        ("minblock", "236745981", "2", "3"),
+        0,
+        (
+            "positions 2..6",
+            "values 3..7",
+            "pattern 14523",
+        ),
+        '{"pattern": [1, 4, 5, 2, 3], "pos_range": [2, 6], "val_range": [3, 7], "values": [3, 6, 7, 4, 5]}',
+    ),
+    (
+        ("minblock", "2413", "1", "3", "--ascii-plot"),
+        0,
+        (
+            "positions 1..4",
+            "values 1..4",
+            "pattern 2413",
+            ".*..",
+            "...*",
+            "*...",
+            "..*.",
+        ),
+        '{"pattern": [2, 4, 1, 3], "pos_range": [1, 4], "val_range": [1, 4], "values": [2, 4, 1, 3]}',
+    ),
+    (
+        ("minblock", "2413", "3", "1"),
+        2,
+        "error: need positions 1 <= i < j <= 4, got i=3, j=1",
+        "error: need positions 1 <= i < j <= 4, got i=3, j=1",
+    ),
+    (
+        ("pins", "classify", "3,10,1,7,11,4,9,5,6,2,8", "4", "6", "8", "7", "9", "11", "10", "1"),
+        0,
+        (
+            "p1 (4,7)",
+            "p2 (6,4)",
+            "p3 (8,5) right not proper",
+            "p4 (7,9) up proper",
+            "p5 (9,6) right not proper",
+            "p6 (11,8) right not proper",
+            "p7 (10,2) down proper",
+            "p8 (1,3) left proper",
+        ),
+        '{"directions": [null, null, "right", "up", "right", "right", "down", "left"], "pins": [[4, 7], [6, 4], [8, 5], [7, 9], [9, 6], [11, 8], [10, 2], [1, 3]], "proper": [null, null, false, true, false, false, true, true]}',
+    ),
+    (
+        ("pins", "classify", "2143", "1", "2", "4"),
+        1,
+        "invalid: pin 3: does not slice the rectangle of the earlier pins",
+        '{"error": "pin 3: does not slice the rectangle of the earlier pins", "valid": false}',
+    ),
+    (
+        ("pins", "classify", "2413", "1"),
+        2,
+        "error: a pin sequence needs at least two points",
+        "error: a pin sequence needs at least two points",
+    ),
+    (
+        ("pins", "word", "12:URUR"),
+        0,
+        "142635",
+        '{"perm": [1, 4, 2, 6, 3, 5], "word": "12:URUR"}',
+    ),
+    (
+        ("pins", "word", "21:LDR", "--ascii-plot"),
+        0,
+        (
+            "41532",
+            "..*..",
+            "*....",
+            "...*.",
+            "....*",
+            ".*...",
+        ),
+        '{"perm": [4, 1, 5, 3, 2], "word": "21:LDR"}',
+    ),
+    (
+        ("pins", "word", "12:UU"),
+        2,
+        "error: consecutive pins must be perpendicular: 'U' then 'U'",
+        "error: consecutive pins must be perpendicular: 'U' then 'U'",
+    ),
+    (
+        ("pins", "reach", "236745981", "2", "3"),
+        0,
+        (
+            "p1 (2,3)",
+            "p2 (3,6)",
+            "p3 (6,5) right proper",
+        ),
+        '{"directions": [null, null, "right"], "pins": [[2, 3], [3, 6], [6, 5]], "proper": [null, null, true]}',
+    ),
+    (
+        ("pins", "reach", "2413", "3", "4", "--side", "left"),
+        0,
+        (
+            "p1 (3,1)",
+            "p2 (4,3)",
+            "p3 (1,2) left proper",
+        ),
+        '{"directions": [null, null, "left"], "pins": [[3, 1], [4, 3], [1, 2]], "proper": [null, null, true]}',
+    ),
+    (
+        ("pins", "reach", "163524", "1", "3"),
+        0,
+        (
+            "p1 (1,1)",
+            "p2 (3,3)",
+            "p3 (5,2) right proper",
+            "p4 (4,5) up proper",
+            "p5 (6,4) right proper",
+        ),
+        '{"directions": [null, null, "right", "up", "right"], "pins": [[1, 1], [3, 3], [5, 2], [4, 5], [6, 4]], "proper": [null, null, true, true, true]}',
+    ),
+    (
+        ("pins",),
+        2,
+        "permwreath pins: the following arguments are required: pins_command",
+        "permwreath pins: the following arguments are required: pins_command",
+    ),
+    (
+        ("pin-probe", "--y", "av(21)"),
+        0,
+        "threshold = 1",
+        '{"exceeded": false, "threshold": 1, "witnesses": []}',
+    ),
+    (
+        ("pin-probe", "--y", "av(321)", "--pin-cap", "6"),
+        3,
+        "exceeded cap 6; surviving words: 12:LURURU, 12:LDLDLD, 12:RURURU, 12:RDLDLD (+8 more)",
+        '{"exceeded": true, "threshold": null, "witnesses": ["12:LURURU", "12:LDLDLD", "12:RURURU", "12:RDLDLD", "12:ULDLDL", "12:URURUR", "12:DLDLDL", "12:DRURUR", "21:LDLDLD", "21:RURURU", "21:URURUR", "21:DLDLDL"]}',
+    ),
+    (
+        ("pin-probe", "--y", "av(321)", "--pin-cap", "0"),
+        2,
+        "error: cap must be at least 1",
+        "error: cap must be at least 1",
+    ),
+    (
+        ("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "5"),
+        0,
+        "2 21",
+        '{"length": 2, "perm": [2, 1], "x_basis": [[2, 1]], "y_basis": [[2, 1]]}',
+    ),
+    (
+        ("basis", "--x", "av(25134)", "--y", "av(321)", "--max-len", "6"),
+        0,
+        (
+            "6 264135",
+            "6 361425",
+            "6 362415",
+            "6 426135",
+        ),
+        (
+            '{"length": 6, "perm": [2, 6, 4, 1, 3, 5], "x_basis": [[2, 5, 1, 3, 4]], "y_basis": [[3, 2, 1]]}',
+            '{"length": 6, "perm": [3, 6, 1, 4, 2, 5], "x_basis": [[2, 5, 1, 3, 4]], "y_basis": [[3, 2, 1]]}',
+            '{"length": 6, "perm": [3, 6, 2, 4, 1, 5], "x_basis": [[2, 5, 1, 3, 4]], "y_basis": [[3, 2, 1]]}',
+            '{"length": 6, "perm": [4, 2, 6, 1, 3, 5], "x_basis": [[2, 5, 1, 3, 4]], "y_basis": [[3, 2, 1]]}',
+        ),
+    ),
+    (
+        ("basis", "--x", "av(1)", "--y", "av(21)", "--max-len", "3"),
+        0,
+        "1 1",
+        '{"length": 1, "perm": [1], "x_basis": [[1]], "y_basis": [[2, 1]]}',
+    ),
+    (
+        ("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "12"),
+        3,
+        "limit: max_len 12 exceeds the cap 11",
+        "limit: max_len 12 exceeds the cap 11",
+    ),
+    (
+        ("verify-basis", "2513764", "--x", "av(25134)", "--y", "av(321)"),
+        0,
+        "basis element",
+        '{"deleted_position": null, "ok": true, "reason": "minimal non-member", "witness": null}',
+    ),
+    (
+        ("verify-basis", "12", "--x", "av(21)", "--y", "av(21)"),
+        1,
+        "not a basis element: the permutation is a member of the product",
+        '{"deleted_position": null, "ok": false, "reason": "the permutation is a member of the product", "witness": null}',
+    ),
+    (
+        ("verify-basis", "321", "--x", "av(21)", "--y", "av(21)"),
+        1,
+        "not a basis element: deleting position 1 leaves a non-member (21)",
+        '{"deleted_position": 1, "ok": false, "reason": "deleting position 1 leaves a non-member", "witness": [2, 1]}',
+    ),
+    (
+        ("antichain", "gen", "thm6", "2", "--upto"),
+        0,
+        (
+            "2513764",
+            "251374986",
+        ),
+        '{"perms": [[2, 5, 1, 3, 7, 6, 4], [2, 5, 1, 3, 7, 4, 9, 8, 6]]}',
+    ),
+    (
+        ("antichain", "gen", "widdershins-2413", "1", "--ascii-plot"),
+        0,
+        (
+            "816497523",
+            "....*....",
+            "*........",
+            ".....*...",
+            "..*......",
+            "......*..",
+            "...*.....",
+            "........*",
+            ".......*.",
+            ".*.......",
+        ),
+        '{"perms": [[8, 1, 6, 4, 9, 7, 5, 2, 3]]}',
+    ),
+    (
+        ("antichain", "check", "2513764", "251374986"),
+        0,
+        "antichain",
+        '{"antichain": true}',
+    ),
+    (("antichain", "check", "1", "12"), 1, "not an antichain", '{"antichain": false}'),
+    (
+        ("antichain",),
+        2,
+        "permwreath antichain: the following arguments are required: antichain_command",
+        "permwreath antichain: the following arguments are required: antichain_command",
+    ),
+    (
+        ("simple", "1  3"),
+        2,
+        "error: not a permutation of 1..2: (1, 3)",
+        "error: not a permutation of 1..2: (1, 3)",
+    ),
+    (
+        ("member", "123", "av-nonsense"),
+        2,
+        "error: cannot parse class 'av-nonsense': expected a registry name or av(...)",
+        "error: cannot parse class 'av-nonsense': expected a registry name or av(...)",
+    ),
+    (
+        ("simple", LONG),
+        3,
+        "limit: length 69 exceeds the cap 64",
+        "limit: length 69 exceeds the cap 64",
+    ),
+    (("--max-perm-len", "80", "simple", LONG), 1, "not simple", '{"simple": false}'),
+    (
+        (),
+        2,
+        "permwreath: the following arguments are required: command",
+        "permwreath: the following arguments are required: command",
+    ),
+]
+
+
+def _joined(out):
+    return out if isinstance(out, str) else "\n".join(out)
+
+
+class TestGolden:
+    @pytest.mark.parametrize("mode", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv, code, text, as_json",
+        GOLDEN,
+        ids=[" ".join(row[0])[:40] or "no-command" for row in GOLDEN],
+    )
+    def test_stdout_and_exit_code(self, argv, code, text, as_json, mode):
+        flags = ("--json",) if mode == "json" else ()
+        res = run(*flags, *argv)
+        expected = as_json if mode == "json" else text
+        assert (res.exit_code, res.stdout) == (code, _joined(expected))

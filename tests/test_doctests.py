@@ -1,4 +1,5 @@
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +19,17 @@ MODULES = [
     permwreath.basis_search,
 ]
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 
 @pytest.mark.parametrize("mod", MODULES, ids=lambda m: m.__name__)
 def test_doctests(mod):
     result = doctest.testmod(mod)
+    assert result.failed == 0
+    assert result.attempted > 0
+
+
+def test_readme():
+    result = doctest.testfile(str(README), module_relative=False)
     assert result.failed == 0
     assert result.attempted > 0

@@ -11,13 +11,11 @@ from permwreath.perm_core import (
     inflate,
     intervals,
     involves,
-    is_interval,
     occurrence_positions,
     occurrences,
     parse_perm,
     points,
     reduce,
-    reverse_complement,
 )
 
 from conftest import p, perms_of_length, perms_up_to
@@ -229,13 +227,6 @@ class TestIntervals:
                 if s <= e:
                     assert (s, e) in ivset
 
-    def test_is_interval(self):
-        pi = p("236745981")
-        assert is_interval(pi, 2, 6)
-        assert not is_interval(pi, 2, 3)
-        with pytest.raises(ValueError):
-            is_interval(pi, 0, 2)
-
 
 class TestPointHelpers:
     def test_points(self):
@@ -245,8 +236,3 @@ class TestPointHelpers:
         assert delete_point(p("2513764"), 5) == p("251364")
         with pytest.raises(ValueError):
             delete_point(p("21"), 3)
-
-    def test_reverse_complement(self):
-        assert reverse_complement(p("2513764")) == p("4215736")
-        for pi in perms_of_length(5):
-            assert reverse_complement(reverse_complement(pi)) == pi
