@@ -157,6 +157,11 @@ class VerifyResult:
         return self.ok
 
 
+def _live(cls: PermClass, pi: Permutation) -> PermClass:
+    """The class whose basis is the elements of ``cls.basis`` that ``pi`` involves."""
+    return PermClass(tuple(b for b in cls.basis if involves(b, pi)))
+
+
 def verify_basis_element(
     pi: Sequence[int], outer: PermClass, inner: PermClass
 ) -> VerifyResult:
@@ -165,8 +170,22 @@ def verify_basis_element(
     True requires pi itself to be a non-member while every one-point
     deletion is a member; a failed check names the offending deletion
     or reports that pi is a member.
+
+    Every permutation that ``wreath_member(d, outer, inner)`` tests --
+    the blocks grown by the greedy profile and the profile itself -- is
+    a pattern of ``d``, and so of ``pi`` when ``d`` is ``pi`` or one of
+    its deletions.  Avoidance is inherited by patterns: a basis element
+    that ``pi`` avoids is avoided by all of them, and testing for it is
+    wasted work.  So each class is first cut down to its live basis, the
+    elements ``pi`` involves, and every membership test runs on the cut
+    classes.  The verdict is exact.  A sub-basis of an antichain is an
+    antichain, so the cut classes need no normalisation; an empty live
+    basis is the class of all permutations, and a block class that
+    excludes the point keeps the point live, since every ``pi`` involves
+    it.
     """
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
+    outer, inner = _live(outer, pi), _live(inner, pi)
     if wreath_member(pi, outer, inner):
         return VerifyResult(False, "the permutation is a member of the product")
     if len(pi) > 1:

@@ -104,6 +104,13 @@ def _bbox(pts: Sequence[Point]) -> tuple:
     return min(xs), max(xs), min(ys), max(ys)
 
 
+def _grow(rect, q: Point) -> tuple:
+    # The rectangle of rect's points and q: pins only ever enlarge it.
+    pmin, pmax, vmin, vmax = rect
+    pos, val = q
+    return min(pmin, pos), max(pmax, pos), min(vmin, val), max(vmax, val)
+
+
 def _inside(q: Point, rect) -> bool:
     pmin, pmax, vmin, vmax = rect
     return pmin <= q[0] <= pmax and vmin <= q[1] <= vmax
@@ -137,15 +144,15 @@ def _further(a: Point, b: Point, direction: str) -> bool:
     return a[1] < b[1]
 
 
-def _proper_pins(pts: Iterable[Point], pins: Sequence[Point]) -> dict:
+def _proper_pins(pts: Iterable[Point], last: Point, rect, prev) -> dict:
     # The proper next pin in each direction: among the points of ``pts``
-    # that slice rect(pins) and separate the last pin from the rectangle
-    # of the earlier ones, the furthest in its direction.  A point
-    # separates them exactly when it lies in the channel between them, a
-    # band of values or of positions.
-    rect = _bbox(pins)
-    qmin, qmax, wmin, wmax = _bbox(pins[:-1])
-    ppos, pval = pins[-1]
+    # that slice ``rect``, the rectangle of the pins so far, and separate
+    # the ``last`` pin from ``prev``, the rectangle of the earlier ones,
+    # the furthest in its direction.  A point separates them exactly when
+    # it lies in the channel between them, a band of values or of
+    # positions.
+    qmin, qmax, wmin, wmax = prev
+    ppos, pval = last
     by_dir: dict = {}
     for q in pts:
         pos, val = q
@@ -200,9 +207,9 @@ def classify_pins(host: Sequence[int], pin_points: Iterable) -> PinSequence:
     host_points = points(host)
     directions: list = [None, None]
     proper: list = [None, None]
+    prev, rect = _bbox(pts[:1]), _bbox(pts[:2])
     for idx in range(2, len(pts)):
         p = pts[idx]
-        rect = _bbox(pts[:idx])
         if _inside(p, rect):
             raise PinConditionError(
                 idx + 1, "lies inside the rectangle of the earlier pins"
@@ -213,7 +220,8 @@ def classify_pins(host: Sequence[int], pin_points: Iterable) -> PinSequence:
                 idx + 1, "does not slice the rectangle of the earlier pins"
             )
         directions.append(d)
-        proper.append(_proper_pins(host_points, pts[:idx]).get(d) == p)
+        proper.append(_proper_pins(host_points, pts[idx - 1], rect, prev).get(d) == p)
+        prev, rect = rect, _grow(rect, p)
     return PinSequence(host, pts, tuple(directions), tuple(proper))
 
 
@@ -301,16 +309,18 @@ def _dfs_reaching(block_pts: list, p1, p2, target):
     # Depth-first over proper pins, trying R, U, L, D in that order (so
     # they are pushed in reverse).  A proper reaching sequence always
     # exists (Brignall, Huczynska and Vatter), so the search only has to
-    # find one.
-    stack = [[p1, p2]]
+    # find one.  Each entry carries the rectangle of its pins and that
+    # of all but the last.
+    stack = [([p1, p2], _bbox([p1, p2]), _bbox([p1]))]
     while stack:
-        pins = stack.pop()
+        pins, rect, prev = stack.pop()
         if pins[-1] == target:
             return pins
-        cands = _proper_pins(block_pts, pins)
+        cands = _proper_pins(block_pts, pins[-1], rect, prev)
         for d in (DOWN, LEFT, UP, RIGHT):
             if d in cands:
-                stack.append(pins + [cands[d]])
+                q = cands[d]
+                stack.append((pins + [q], _grow(rect, q), rect))
     return None
 
 

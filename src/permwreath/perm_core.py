@@ -312,8 +312,9 @@ def intervals(pi: Sequence[int]) -> list[tuple[int, int]]:
 def interval_end_table(pi: Sequence[int]) -> list[list[int]]:
     """For each 1-based start s, the ascending list of interval ends.
 
-    Shared scaffolding for the deflation scans: entry ``table[s]`` lists
-    every e with s..e an interval of pi.  Index 0 is unused.
+    Entry ``table[s]`` lists every e with s..e an interval of pi; index 0
+    is unused.  It serves :func:`intervals`, the brute-force deflation
+    oracle ``all_deflations`` and ``substitution_decomposition``.
     """
     n = len(pi)
     table: list[list[int]] = [[] for _ in range(n + 2)]

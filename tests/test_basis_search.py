@@ -3,13 +3,14 @@ import pytest
 from permwreath.avoidance import av, member, named
 from permwreath.basis_search import (
     FAMILIES,
+    VerifyResult,
     antichain_member,
     check_antichain,
     verify_basis_element,
     wreath_basis,
 )
 from permwreath.decomposition import INDECOMPOSABLE_BOTH, sum_skew_status
-from permwreath.perm_core import CapExceeded, delete_point, occurrences
+from permwreath.perm_core import CapExceeded, Permutation, delete_point, occurrences
 from permwreath.profile import all_deflations, wreath_member
 
 from conftest import p, perms_up_to
@@ -98,11 +99,67 @@ class TestVerifyBasisElement:
 
     def test_deeper_members_against_canonical_pairing(self):
         for name, fam in FAMILIES.items():
-            if name.startswith("widdershins"):
-                continue
             for k in (4, 5):
                 beta = antichain_member(name, k)
                 assert verify_basis_element(beta, fam.outer, fam.inner).ok, (name, k)
+
+
+def _verify_on_full_classes(pi, outer, inner):
+    # The verification as it stood before the live-basis cut, frozen as
+    # the reference: every membership test runs on the full classes.
+    if wreath_member(pi, outer, inner):
+        return VerifyResult(False, "the permutation is a member of the product")
+    if len(pi) > 1:
+        for pos in range(1, len(pi) + 1):
+            d = delete_point(pi, pos)
+            if not wreath_member(d, outer, inner):
+                return VerifyResult(
+                    False,
+                    f"deleting position {pos} leaves a non-member",
+                    deleted_position=pos,
+                    witness=d,
+                )
+    return VerifyResult(True, "minimal non-member")
+
+
+@pytest.mark.filterwarnings("error::permwreath.avoidance.BasisNormalizationWarning")
+class TestVerifyMatchesFullClasses:
+    """The live-basis cut leaves every field of the verdict unchanged."""
+
+    def test_every_short_permutation(self):
+        pairs = (
+            (av(25134), av(321)),
+            (av(321), av(21)),
+            (av(1), av(21)),
+            (av(21), av(1)),
+            (av(), av(321)),
+        )
+        for outer, inner in pairs:
+            for pi in perms_up_to(7):
+                assert verify_basis_element(pi, outer, inner) == (
+                    _verify_on_full_classes(pi, outer, inner)
+                ), (pi, outer, inner)
+
+    def test_family_members(self):
+        for name, fam in FAMILIES.items():
+            for inner in fam.inners:
+                for k in range(1, 9):
+                    beta = antichain_member(name, k)
+                    assert verify_basis_element(beta, fam.outer, inner) == (
+                        _verify_on_full_classes(beta, fam.outer, inner)
+                    ), (name, str(inner), k)
+
+    def test_long_non_minimal_hosts(self):
+        # A point inserted into a family member leaves a non-member that
+        # is not minimal, so the verdict names a deletion and its witness.
+        for name, fam in FAMILIES.items():
+            beta = antichain_member(name, 8)
+            m = len(beta) // 2
+            vals = [v + 1 if v >= m else v for v in beta]
+            pi = Permutation(vals[: m - 1] + [m] + vals[m - 1 :])
+            got = verify_basis_element(pi, fam.outer, fam.inner)
+            assert got == _verify_on_full_classes(pi, fam.outer, fam.inner), name
+            assert got.witness is not None
 
 
 class TestFirstFamilyStructure:
