@@ -12,7 +12,9 @@ looked up in the previous length's members.
 
 The antichain families are parameterised generators of arbitrarily long
 basis elements for specific products, each pairing an outer class with
-the inner classes it defeats.
+the inner classes it defeats.  The seven families come from two
+constructions: five are one oscillating spine with a tail, and two are
+one spiral around a core.
 """
 
 from __future__ import annotations
@@ -203,33 +205,17 @@ def verify_basis_element(
 
 # --- antichain families -----------------------------------------------
 
-def _interleave(highs: list[int], lows: list[int]) -> list[int]:
-    out = []
-    for h, l in zip(highs, lows):
-        out.extend((h, l))
-    return out
+def _spine(k: int) -> list[int]:
+    # 2 5 1 3, then the pairs (2j+3, 2j) for j = 2..k.
+    return [2, 5, 1, 3, *(v for j in range(2, k + 1) for v in (2 * j + 3, 2 * j))]
 
 
 def _thm6(k: int) -> list[int]:
-    if k == 1:
-        return [2, 5, 1, 3, 7, 6, 4]
-    mid = _interleave(
-        [2 * j + 3 for j in range(3, k + 1)], [2 * j for j in range(3, k + 1)]
-    )
-    return [2, 5, 1, 3, 7, 4, *mid, 2 * k + 5, 2 * k + 4, 2 * k + 2]
-
-
-def _tail4(k: int) -> list[int]:
-    return [2 * k + 6, 2 * k + 5, 2 * k + 4, 2 * k + 2]
+    return _spine(k) + [2 * k + 5, 2 * k + 4, 2 * k + 2]
 
 
 def _ex2ii(k: int) -> list[int]:
-    if k == 1:
-        return [2, 5, 1, 3, 8, 7, 6, 4]
-    mid = _interleave(
-        [2 * j + 3 for j in range(3, k + 1)], [2 * j for j in range(3, k + 1)]
-    )
-    return [2, 5, 1, 3, 7, 4, *mid, *_tail4(k)]
+    return _spine(k) + [2 * k + 6, 2 * k + 5, 2 * k + 4, 2 * k + 2]
 
 
 def _swap_last_two(vals: list[int]) -> list[int]:
@@ -241,50 +227,35 @@ def _ex2iii(k: int) -> list[int]:
 
 
 def _ex3_4321(k: int) -> list[int]:
-    if k == 1:
-        return [2, 5, 1, 4, 8, 7, 6, 3]
-    mid = _interleave(
-        [2 * j + 3 for j in range(3, k + 1)], [2 * j for j in range(3, k + 1)]
-    )
-    return [2, 5, 1, 4, 7, 3, *mid, *_tail4(k)]
+    # ex2ii with the values 3 and 4 exchanged, as its anchor 25134 -> 25143.
+    return [7 - v if v in (3, 4) else v for v in _ex2ii(k)]
 
 
 def _ex3_4312(k: int) -> list[int]:
     return _swap_last_two(_ex3_4321(k))
 
 
+def _widdershins(k: int, core: tuple[int, ...]) -> list[int]:
+    # The descent pairs the highs 4k+m-1, 4k+m-3, .. with the lows
+    # 1, 4, 6, .., 2k; the core (offsets from 2k) follows; the ascent
+    # pairs the highs 2k+4+m, 2k+6+m, .. with the lows 2k+1, 2k-1, .., 5;
+    # and 2 3 closes the spiral.  m is the length of the core.
+    m = len(core)
+    descent = zip(range(4 * k + m - 1, 2 * k + m, -2), [1, *range(4, 2 * k + 1, 2)])
+    ascent = zip(range(2 * k + 4 + m, 4 * k + m + 1, 2), range(2 * k + 1, 4, -2))
+    return [
+        *(v for pair in descent for v in pair),
+        *(2 * k + c for c in core),
+        *(v for pair in ascent for v in pair),
+    ] + [2, 3]
+
+
 def _wid_2413(k: int) -> list[int]:
-    descent = _interleave(
-        list(range(4 * k + 4, 2 * k + 5, -2)),
-        [1] + list(range(4, 2 * k + 1, 2)),
-    )
-    middle = [2 * k + 4, 2 * k + 2, 2 * k + 7, 2 * k + 5, 2 * k + 3]
-    ascent = _interleave(
-        list(range(2 * k + 9, 4 * k + 6, 2)),
-        list(range(2 * k + 1, 4, -2)),
-    )
-    return [*descent, *middle, *ascent, 2, 3]
+    return _widdershins(k, (4, 2, 7, 5, 3))
 
 
 def _wid_2143(k: int) -> list[int]:
-    descent = _interleave(
-        list(range(4 * k + 6, 2 * k + 7, -2)),
-        [1] + list(range(4, 2 * k + 1, 2)),
-    )
-    middle = [
-        2 * k + 6,
-        2 * k + 2,
-        2 * k + 4,
-        2 * k + 7,
-        2 * k + 9,
-        2 * k + 5,
-        2 * k + 3,
-    ]
-    ascent = _interleave(
-        list(range(2 * k + 11, 4 * k + 8, 2)),
-        list(range(2 * k + 1, 4, -2)),
-    )
-    return [*descent, *middle, *ascent, 2, 3]
+    return _widdershins(k, (6, 2, 4, 7, 9, 5, 3))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ RIGHT = "right"
 UP = "up"
 DOWN = "down"
 
-_LETTER_TO_DIRECTION = {"L": LEFT, "R": RIGHT, "U": UP, "D": DOWN}
 _HORIZONTAL = frozenset("LR")  # position lies outside, value slices
 
 
@@ -242,7 +241,7 @@ class PinWord:
         if self.origin not in ("12", "21"):
             raise ValueError(f"origin must be '12' or '21', got {self.origin!r}")
         for ch in self.letters:
-            if ch not in _LETTER_TO_DIRECTION:
+            if ch not in "LRUD":
                 raise ValueError(f"bad pin letter {ch!r}; expected L, R, U or D")
         for a, b in zip(self.letters, self.letters[1:]):
             if (a in _HORIZONTAL) == (b in _HORIZONTAL):

@@ -213,7 +213,14 @@ Output = tuple[int, list, list[str]]
 
 
 def ascii_plot(pi: Permutation) -> str:
-    """An n-by-n dot grid of the plot, top value first."""
+    """An n-by-n dot grid of the plot, top value first.
+
+    >>> print(ascii_plot(Permutation((2, 4, 1, 3))))
+    .*..
+    ...*
+    *...
+    ..*.
+    """
     n = len(pi)
     rows = []
     for v in range(n, 0, -1):

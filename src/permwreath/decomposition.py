@@ -60,16 +60,10 @@ def _sum_cuts(pi: Sequence[int]) -> list[int]:
 
 
 def _skew_cuts(pi: Sequence[int]) -> list[int]:
-    # Positions k < n where the first k entries are the top k values.
+    # Positions k < n where the first k entries are the top k values:
+    # the sum cuts of the complement.
     n = len(pi)
-    cuts = []
-    mn = n + 1
-    for k, v in enumerate(pi[:-1], start=1):
-        if v < mn:
-            mn = v
-        if mn == n - k + 1:
-            cuts.append(k)
-    return cuts
+    return _sum_cuts([n + 1 - v for v in pi])
 
 
 def is_simple(pi: Sequence[int]) -> bool:

@@ -151,12 +151,17 @@ def points(pi: Sequence[int]) -> tuple[tuple[int, int], ...]:
 def delete_point(pi: Sequence[int], pos: int) -> Permutation:
     """Remove the entry at 1-based ``pos`` and renormalise the rest.
 
+    A one-point permutation has no deletion: a permutation has at least
+    one entry.
+
     >>> delete_point(Permutation((2, 5, 1, 3, 7, 6, 4)), 5)
     Permutation([2, 5, 1, 3, 6, 4])
     """
     n = len(pi)
     if not 1 <= pos <= n:
         raise ValueError(f"position {pos} out of range 1..{n}")
+    if n == 1:
+        raise ValueError("deleting the only point leaves no permutation")
     removed = pi[pos - 1]
     return _trusted(
         v - 1 if v > removed else v

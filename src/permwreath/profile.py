@@ -168,7 +168,7 @@ def is_valid_deflation(
     each an interval of the host whose pattern matches the recorded
     block pattern and lies in ``inner``, and inflating the profile by
     the patterns must reconstruct the host.  Returns False rather than
-    raising: this is the validator behind test oracles and CLI checks.
+    raising: this is the validator the test oracles use.
     """
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
     n = len(pi)

@@ -10,7 +10,13 @@ from permwreath.basis_search import (
     wreath_basis,
 )
 from permwreath.decomposition import INDECOMPOSABLE_BOTH, sum_skew_status
-from permwreath.perm_core import CapExceeded, Permutation, delete_point, occurrences
+from permwreath.perm_core import (
+    LENGTH_CAP,
+    CapExceeded,
+    Permutation,
+    delete_point,
+    occurrences,
+)
 from permwreath.profile import all_deflations, wreath_member
 
 from conftest import p, perms_up_to
@@ -54,6 +60,111 @@ class TestAntichainMember:
         with pytest.raises(ValueError):
             antichain_member("thm6", 0)
 
+
+
+# A frozen copy of the family generators as they were first written, one
+# explicit body per family with the k = 1 members spelled out.  It is the
+# oracle for the shared spine and spiral constructions in basis_search.
+
+def _oracle_interleave(highs, lows):
+    out = []
+    for h, l in zip(highs, lows):
+        out.extend((h, l))
+    return out
+
+
+def _oracle_mid(k):
+    return _oracle_interleave(
+        [2 * j + 3 for j in range(3, k + 1)], [2 * j for j in range(3, k + 1)]
+    )
+
+
+def _oracle_tail4(k):
+    return [2 * k + 6, 2 * k + 5, 2 * k + 4, 2 * k + 2]
+
+
+def _oracle_swap_last_two(vals):
+    return vals[:-2] + [vals[-1], vals[-2]]
+
+
+def _oracle_thm6(k):
+    if k == 1:
+        return [2, 5, 1, 3, 7, 6, 4]
+    return [2, 5, 1, 3, 7, 4, *_oracle_mid(k), 2 * k + 5, 2 * k + 4, 2 * k + 2]
+
+
+def _oracle_ex2ii(k):
+    if k == 1:
+        return [2, 5, 1, 3, 8, 7, 6, 4]
+    return [2, 5, 1, 3, 7, 4, *_oracle_mid(k), *_oracle_tail4(k)]
+
+
+def _oracle_ex3_4321(k):
+    if k == 1:
+        return [2, 5, 1, 4, 8, 7, 6, 3]
+    return [2, 5, 1, 4, 7, 3, *_oracle_mid(k), *_oracle_tail4(k)]
+
+
+def _oracle_wid_2413(k):
+    descent = _oracle_interleave(
+        list(range(4 * k + 4, 2 * k + 5, -2)),
+        [1] + list(range(4, 2 * k + 1, 2)),
+    )
+    middle = [2 * k + 4, 2 * k + 2, 2 * k + 7, 2 * k + 5, 2 * k + 3]
+    ascent = _oracle_interleave(
+        list(range(2 * k + 9, 4 * k + 6, 2)),
+        list(range(2 * k + 1, 4, -2)),
+    )
+    return [*descent, *middle, *ascent, 2, 3]
+
+
+def _oracle_wid_2143(k):
+    descent = _oracle_interleave(
+        list(range(4 * k + 6, 2 * k + 7, -2)),
+        [1] + list(range(4, 2 * k + 1, 2)),
+    )
+    middle = [
+        2 * k + 6,
+        2 * k + 2,
+        2 * k + 4,
+        2 * k + 7,
+        2 * k + 9,
+        2 * k + 5,
+        2 * k + 3,
+    ]
+    ascent = _oracle_interleave(
+        list(range(2 * k + 11, 4 * k + 8, 2)),
+        list(range(2 * k + 1, 4, -2)),
+    )
+    return [*descent, *middle, *ascent, 2, 3]
+
+
+ORACLE_FAMILIES = {
+    "thm6": _oracle_thm6,
+    "ex2ii": _oracle_ex2ii,
+    "ex2iii": lambda k: _oracle_swap_last_two(_oracle_ex2ii(k)),
+    "ex3-4321-4123": _oracle_ex3_4321,
+    "ex3-4312-4123": lambda k: _oracle_swap_last_two(_oracle_ex3_4321(k)),
+    "widdershins-2413": _oracle_wid_2413,
+    "widdershins-2143": _oracle_wid_2143,
+}
+
+
+class TestFamiliesMatchFrozenOracle:
+    def test_oracle_covers_every_family(self):
+        assert set(ORACLE_FAMILIES) == set(FAMILIES)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_members_up_to_thirty(self, name):
+        # Members longer than LENGTH_CAP are refused, as the oracle's are.
+        for k in range(1, 31):
+            expected = ORACLE_FAMILIES[name](k)
+            assert FAMILIES[name].generate(k) == expected, k
+            if len(expected) <= LENGTH_CAP:
+                assert antichain_member(name, k) == Permutation(expected), k
+            else:
+                with pytest.raises(CapExceeded):
+                    antichain_member(name, k)
 
 class TestCheckAntichain:
     def test_families_are_antichains(self):

@@ -6,6 +6,7 @@ import pytest
 import permwreath.avoidance
 import permwreath.basis_search
 import permwreath.blocks_pins
+import permwreath.cli
 import permwreath.decomposition
 import permwreath.perm_core
 import permwreath.profile
@@ -17,6 +18,7 @@ MODULES = [
     permwreath.profile,
     permwreath.blocks_pins,
     permwreath.basis_search,
+    permwreath.cli,
 ]
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -236,3 +236,5 @@ class TestPointHelpers:
         assert delete_point(p("2513764"), 5) == p("251364")
         with pytest.raises(ValueError):
             delete_point(p("21"), 3)
+        with pytest.raises(ValueError):
+            delete_point(p("1"), 1)
