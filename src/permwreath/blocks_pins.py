@@ -270,7 +270,10 @@ def pin_word_points(word: PinWord) -> tuple[Permutation, tuple[tuple[int, int], 
     # channel separating the previous pin from the earlier rectangle is
     # empty: the new pin takes the rank ``cut`` at that rectangle's edge,
     # every rank from ``cut`` up moves up by one, and on the other axis
-    # the pin goes one step beyond the extreme in its direction.  Every
+    # the pin goes one step beyond the extreme in its direction.  The
+    # previous pin left along the axis the new pin slices, or is the
+    # origin's second point, so there it holds rank 1 or k of the k pins
+    # so far: the cut is k when it is at k, and 2 when it is at 1.  Every
     # proper pin sequence with this word realises the same pattern, so
     # the construction is canonical as well as valid.
     pos = [1, 2]
@@ -278,8 +281,7 @@ def pin_word_points(word: PinWord) -> tuple[Permutation, tuple[tuple[int, int], 
     for ch in word.letters:
         # ``cross`` is the axis the pin slices, ``along`` the one it leaves by.
         cross, along = (val, pos) if ch in _HORIZONTAL else (pos, val)
-        lo, hi = min(cross[:-1]), max(cross[:-1])
-        cut = hi + 1 if cross[-1] > hi else lo
+        cut = len(cross) if cross[-1] > 1 else 2
         cross[:] = [c + 1 if c >= cut else c for c in cross]
         cross.append(cut)
         if ch in "RU":
@@ -323,7 +325,10 @@ def _dfs_reaching(block_pts: list, p1, p2, target):
     return None
 
 
-def _reaching(pi: Permutation, i: int, j: int, side: str) -> PinSequence:
+def _reaching(pi: Sequence[int], i: int, j: int, side: str) -> PinSequence:
+    pi = pi if isinstance(pi, Permutation) else Permutation(pi)
+    if not 1 <= i < j <= len(pi):
+        raise ValueError(f"need 1 <= i < j <= {len(pi)}, got i={i}, j={j}")
     mb = minimal_block(pi, i, j)
     s, e = mb.pos_range
     block_pts = [(p, pi[p - 1]) for p in range(s, e + 1)]
@@ -344,17 +349,11 @@ def _reaching(pi: Permutation, i: int, j: int, side: str) -> PinSequence:
 def right_reaching(pi: Sequence[int], i: int, j: int) -> PinSequence:
     """A proper pin sequence from positions (i, j) ending at the
     rightmost point of their minimal block."""
-    pi = pi if isinstance(pi, Permutation) else Permutation(pi)
-    if not 1 <= i < j <= len(pi):
-        raise ValueError(f"need 1 <= i < j <= {len(pi)}, got i={i}, j={j}")
     return _reaching(pi, i, j, "right")
 
 
 def left_reaching(pi: Sequence[int], i: int, j: int) -> PinSequence:
     """Mirror of :func:`right_reaching`: ends at the leftmost point."""
-    pi = pi if isinstance(pi, Permutation) else Permutation(pi)
-    if not 1 <= i < j <= len(pi):
-        raise ValueError(f"need 1 <= i < j <= {len(pi)}, got i={i}, j={j}")
     return _reaching(pi, i, j, "left")
 
 

@@ -12,12 +12,14 @@ objects one JSON line each under ``--json`` and the text lines
 otherwise, so no handler looks at the output mode.
 
 Store files hold one JSON object per line, schema
-``{"kind", "schema_version", "payload"}``, append-only.  A basis run
-writes each finished length's records together with its completion
-marker in one write, so re-running a completed length is a no-op and a
-crash never leaves records without their marker.  A final line torn by
-a crash mid-write is cut off with a warning; any other corrupt line is
-a hard error naming the line number.
+``{"kind", "schema_version", "payload"}``, append-only, and
+:func:`store_append` is their one writer: one write and one fsync per
+call.  A basis run passes it each finished length's records together
+with its completion marker, so re-running a completed length is a no-op
+and a crash never leaves records without their marker.  A final line
+torn by a crash mid-write is cut off with a warning; any other corrupt
+line is a hard error naming the line number.  That error, and a store
+path that cannot be read or written, exit 2 with ``store error:``.
 """
 
 from __future__ import annotations
@@ -109,39 +111,19 @@ def _store_line(kind: str, payload: dict) -> str:
     ) + "\n"
 
 
-def _store_write(path: str, text: str) -> None:
+def store_append(path: str, records: list[tuple[str, dict]]) -> None:
+    """Append ``(kind, payload)`` records to the store and flush them to disk."""
     # One write of the whole text, then one fsync: a crash leaves either
     # all of it or none of it in the common case.
-    data = text.encode("utf-8")
+    data = "".join(_store_line(kind, payload) for kind, payload in records)
+    view = memoryview(data.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
     try:
-        view = memoryview(data)
         while view:
             view = view[os.write(fd, view):]
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def store_append(path: str, kind: str, payload: dict) -> None:
-    """Append one record to the store and flush it to disk."""
-    _store_write(path, _store_line(kind, payload))
-
-
-def store_commit_length(
-    path: str, job: str, length: int, payloads: list[dict]
-) -> None:
-    """Append one length's basis records and its completion marker.
-
-    Records and marker go to disk in a single write, so a crash cannot
-    leave the records of a length without its marker (which would make
-    a re-run append them again).
-    """
-    _store_write(
-        path,
-        "".join(_store_line("basis_record", p) for p in payloads)
-        + _store_line("length_complete", {"job": job, "length": length}),
-    )
 
 
 def store_lines(path: str) -> Iterator[tuple[int, dict]]:
@@ -565,7 +547,11 @@ def _basis(ns) -> Output:
     for n, found in basis_passes(outer, inner, ns.max_len, done=completed):
         batch = [_basis_payload(p, outer, inner) for p in found]
         if ns.store:
-            store_commit_length(ns.store, key, n, batch)
+            # Records and marker go to disk in a single write, so a crash
+            # cannot leave a length's records without its marker (which
+            # would make a re-run append them again).
+            marker = ("length_complete", {"job": key, "length": n})
+            store_append(ns.store, [("basis_record", b) for b in batch] + [marker])
         payloads += batch
         lines += [f"{n} {format_perm(p)}" for p in found]
     return EXIT_OK, payloads, lines
@@ -615,7 +601,7 @@ def execute(argv: list[str]) -> CommandResult:
         return CommandResult(EXIT_USAGE, str(exc))
     except CapExceeded as exc:
         return CommandResult(EXIT_LIMIT, f"limit: {exc}")
-    except StoreError as exc:
+    except (StoreError, OSError) as exc:
         return CommandResult(EXIT_USAGE, f"store error: {exc}")
     except (ValueError, KeyError) as exc:
         return CommandResult(EXIT_USAGE, f"error: {exc}")

@@ -366,8 +366,10 @@ class TestReaching:
         )
 
     def test_bad_positions(self):
-        with pytest.raises(ValueError):
-            right_reaching(p("2413"), 3, 3)
+        for reach in (right_reaching, left_reaching):
+            for i, j in ((3, 3), (3, 2), (0, 2), (1, 5)):
+                with pytest.raises(ValueError, match="need 1 <= i < j <= 4"):
+                    reach(p("2413"), i, j)
 
     def test_exhaustive_small(self):
         axis = {"left": 0, "right": 0, "up": 1, "down": 1}

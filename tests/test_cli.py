@@ -1,9 +1,11 @@
 import json
 import os
+import sys
 
 import pytest
 
 import permwreath.basis_search as basis_search
+import permwreath.cli as cli
 from permwreath.avoidance import av
 from permwreath.basis_search import verify_basis_element
 from permwreath.cli import (
@@ -199,7 +201,7 @@ class TestStore:
 
     def test_corrupt_line_is_fatal_with_line_number(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        store_append(path, "length_complete", {"job": "x", "length": 1})
+        store_append(path, [("length_complete", {"job": "x", "length": 1})])
         with open(path, "a") as fh:
             fh.write("{oops\n")
         with pytest.raises(StoreError, match="line 2"):
@@ -337,8 +339,9 @@ class TestCrashSafeStore:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", failing_fsync)
-        with pytest.raises(OSError, match="injected"):
-            run("--store", path, *SCAN, "--max-len", "7")
+        res = run("--store", path, *SCAN, "--max-len", "7")
+        assert res.exit_code == 2
+        assert res.stdout.startswith("store error:") and "injected" in res.stdout
         assert os.fsync is real_fsync
 
         res = run("--store", path, *SCAN, "--max-len", "7")
@@ -360,6 +363,24 @@ class TestCrashSafeStore:
         monkeypatch.setattr(os, "fsync", counting)
         run("--store", str(tmp_path / "run.jsonl"), *SCAN, "--max-len", "7")
         assert calls[0] == 7
+
+    def test_one_store_append_per_length(self, tmp_path, monkeypatch):
+        # The benchmark tracer counts store commits by wrapping this name.
+        real = cli.store_append
+        batches = []
+
+        def recording(path, records):
+            batches.append(list(records))
+            real(path, records)
+
+        monkeypatch.setattr(cli, "store_append", recording)
+        run("--store", str(tmp_path / "run.jsonl"), *SCAN, "--max-len", "5")
+        assert [batch[-1] for batch in batches] == [
+            ("length_complete", {"job": "av(25134)|av(321)", "length": n})
+            for n in range(1, 6)
+        ]
+        for batch in batches:
+            assert {kind for kind, _ in batch[:-1]} <= {"basis_record"}
 
     def test_torn_final_line_is_dropped_on_resume(
         self, tmp_path, fresh_scan, capsys
@@ -432,6 +453,22 @@ class TestErrors:
         assert res.exit_code == 3
         res = run("deflations", "10 1 8 4 6 9 11 7 5 2 3", "--y", "av(21)")
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "name", ["nonexistent/s.jsonl", "."], ids=["missing directory", "directory"]
+    )
+    def test_unusable_store_path_is_a_store_error(
+        self, tmp_path, monkeypatch, capsys, name
+    ):
+        monkeypatch.setattr(sys, "argv", [
+            "permwreath", "--store", str(tmp_path / name),
+            "basis", "--x", "av21", "--y", "av21", "--max-len", "3",
+        ])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("store error:")
 
     def test_perm_length_cap(self):
         long_perm = " ".join(str(v) for v in range(1, 70))
