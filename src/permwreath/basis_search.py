@@ -113,6 +113,8 @@ def basis_passes(
     by a stored run) are rebuilt silently when there is anything left to
     scan.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     if done >= max_len:
         return
     members: list[Permutation] = []

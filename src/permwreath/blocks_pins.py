@@ -329,8 +329,7 @@ def _reaching(pi: Sequence[int], i: int, j: int, side: str) -> PinSequence:
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
     if not 1 <= i < j <= len(pi):
         raise ValueError(f"need 1 <= i < j <= {len(pi)}, got i={i}, j={j}")
-    mb = minimal_block(pi, i, j)
-    s, e = mb.pos_range
+    s, e = _minimal_span(pi, i, j)
     block_pts = [(p, pi[p - 1]) for p in range(s, e + 1)]
     p1 = (i, pi[i - 1])
     p2 = (j, pi[j - 1])

@@ -58,6 +58,7 @@ from .blocks_pins import (
 )
 from .decomposition import is_simple, skeleton, substitution_decomposition
 from .perm_core import (
+    LENGTH_CAP,
     CapExceeded,
     Permutation,
     format_perm,
@@ -250,8 +251,8 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--max-perm-len",
         type=int,
-        default=64,
-        help="hard cap on parsed permutation length (default 64)",
+        default=LENGTH_CAP,
+        help=f"hard cap on parsed permutation length (default {LENGTH_CAP})",
     )
     p.add_argument(
         "--store",
@@ -391,9 +392,8 @@ def _occurrences(ns) -> Output:
 
 
 def _inflate(ns) -> Output:
-    cap = ns.max_perm_len
-    skel = parse_perm(ns.skeleton, max_len=cap)
-    result = inflate(skel, [parse_perm(b, max_len=cap) for b in ns.blocks], max_len=cap)
+    skel = parse_perm(ns.skeleton, max_len=ns.max_perm_len)
+    result = inflate(skel, [parse_perm(b, max_len=ns.max_perm_len) for b in ns.blocks])
     return EXIT_OK, [{"perm": list(result)}], [format_perm(result)]
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-#: Default bound on permutation length.  Large enough for anything the
-#: exhaustive routines can chew through, small enough to catch nonsense
-#: input early.  Override per call with ``max_len=``.
+#: Default bound on the length of a permutation parsed from text by
+#: :func:`parse_perm` (``--max-perm-len``); computed ones are not capped.
 LENGTH_CAP = 64
 
 
@@ -40,13 +39,11 @@ class Permutation(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, values: Iterable[int], *, max_len: int = LENGTH_CAP):
+    def __new__(cls, values: Iterable[int]):
         vals = tuple(values)
         n = len(vals)
         if n == 0:
             raise ValueError("a permutation has at least one entry")
-        if n > max_len:
-            raise CapExceeded(f"length {n} exceeds the cap {max_len}")
         if sorted(vals) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {vals!r}")
         return tuple.__new__(cls, vals)
@@ -81,7 +78,7 @@ def parse_perm(text: str, *, max_len: int = LENGTH_CAP) -> Permutation:
 
     Accepts space-separated ranks ("2 5 1 3"), comma-separated ranks
     ("2,5,1,3") and, for length at most 9, the compact digit string
-    ("2513").
+    ("2513").  More than ``max_len`` ranks raise :class:`CapExceeded`.
 
     >>> parse_perm("2513764") == parse_perm("2, 5, 1, 3, 7, 6, 4")
     True
@@ -106,7 +103,9 @@ def parse_perm(text: str, *, max_len: int = LENGTH_CAP) -> Permutation:
         vals = [int(p) for p in parts]
     except ValueError:
         raise ValueError(f"cannot parse permutation from {text!r}") from None
-    return Permutation(vals, max_len=max_len)
+    if len(vals) > max_len:
+        raise CapExceeded(f"length {len(vals)} exceeds the cap {max_len}")
+    return Permutation(vals)
 
 
 def format_perm(pi: Sequence[int]) -> str:
@@ -265,12 +264,7 @@ def occurrence_positions(
     yield from go(0, 0)
 
 
-def inflate(
-    pi: Sequence[int],
-    blocks: Sequence[Sequence[int]],
-    *,
-    max_len: int = LENGTH_CAP,
-) -> Permutation:
+def inflate(pi: Sequence[int], blocks: Sequence[Sequence[int]]) -> Permutation:
     """Replace each point of ``pi`` by a block order isomorphic to blocks[i].
 
     Block i occupies consecutive positions, and its values fill a
@@ -296,8 +290,6 @@ def inflate(
     for i in range(n):
         base = offset[i]
         out.extend(base + v for v in blks[i])
-    if acc > max_len:
-        raise CapExceeded(f"inflation has length {acc}, beyond the cap {max_len}")
     return _trusted(out)
 
 

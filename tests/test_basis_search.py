@@ -11,7 +11,6 @@ from permwreath.basis_search import (
 )
 from permwreath.decomposition import INDECOMPOSABLE_BOTH, sum_skew_status
 from permwreath.perm_core import (
-    LENGTH_CAP,
     CapExceeded,
     Permutation,
     delete_point,
@@ -156,15 +155,11 @@ class TestFamiliesMatchFrozenOracle:
 
     @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
     def test_members_up_to_thirty(self, name):
-        # Members longer than LENGTH_CAP are refused, as the oracle's are.
+        # Every member is built, however long; only parsed text is capped.
         for k in range(1, 31):
             expected = ORACLE_FAMILIES[name](k)
             assert FAMILIES[name].generate(k) == expected, k
-            if len(expected) <= LENGTH_CAP:
-                assert antichain_member(name, k) == Permutation(expected), k
-            else:
-                with pytest.raises(CapExceeded):
-                    antichain_member(name, k)
+            assert antichain_member(name, k) == Permutation(expected), k
 
 class TestCheckAntichain:
     def test_families_are_antichains(self):
@@ -317,6 +312,11 @@ class TestWreathBasis:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             wreath_basis(av(21), av(21), 12)
+
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_max_len_below_one_is_refused(self, max_len):
+        with pytest.raises(ValueError, match="max_len must be at least 1"):
+            wreath_basis(av(21), av(21), max_len)
 
     def test_matches_independent_oracle(self):
         # Oracle: membership by exhausting deflations, minimality by

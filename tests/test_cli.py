@@ -19,6 +19,7 @@ from permwreath.cli import (
 from permwreath.perm_core import Permutation, parse_perm
 
 from conftest import p
+from test_basis_search import _oracle_thm6, _oracle_wid_2143
 
 
 def run(*argv):
@@ -475,6 +476,35 @@ class TestErrors:
         assert run("simple", long_perm).exit_code == 3
         # raising the cap lets the identity through (it is not simple)
         assert run("--max-perm-len", "80", "simple", long_perm).exit_code == 1
+
+    @pytest.mark.parametrize("max_len", ["0", "-3"])
+    def test_basis_max_len_below_one(self, max_len):
+        res = run("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", max_len)
+        assert (res.exit_code, res.stdout) == (2, "error: max_len must be at least 1")
+
+
+class TestLongPermutations:
+    # The length cap bounds permutations parsed from text; family members
+    # and inflations are computed, so they are built at any length.
+    def test_antichain_member_past_the_cap(self):
+        expected = _oracle_wid_2143(15)
+        assert len(expected) == 67
+        res = run("antichain", "gen", "widdershins-2143", "15")
+        assert (res.exit_code, res.stdout) == (0, " ".join(map(str, expected)))
+
+    def test_inflation_past_the_cap(self):
+        up = " ".join(str(v) for v in range(1, 41))
+        down = " ".join(str(v) for v in range(40, 0, -1))
+        expected = [*range(1, 41), *range(80, 40, -1)]
+        res = run("inflate", "12", up, down)
+        assert (res.exit_code, res.stdout) == (0, " ".join(map(str, expected)))
+
+    def test_verify_long_member_under_a_raised_cap(self):
+        member = " ".join(map(str, _oracle_thm6(30)))
+        argv = ("verify-basis", member, "--x", "av25134", "--y", "av321")
+        assert run(*argv).exit_code == 3
+        res = run("--max-perm-len", "80", *argv)
+        assert (res.exit_code, res.stdout) == (0, "basis element")
 
 
 # The exact stdout and exit code of one command line per subcommand and

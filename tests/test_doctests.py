@@ -1,24 +1,17 @@
 import doctest
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-import permwreath.avoidance
-import permwreath.basis_search
-import permwreath.blocks_pins
-import permwreath.cli
-import permwreath.decomposition
-import permwreath.perm_core
-import permwreath.profile
+import permwreath
 
+# Every module of the package, so a new module's doctests cannot be
+# skipped without notice.
 MODULES = [
-    permwreath.perm_core,
-    permwreath.decomposition,
-    permwreath.avoidance,
-    permwreath.profile,
-    permwreath.blocks_pins,
-    permwreath.basis_search,
-    permwreath.cli,
+    importlib.import_module(f"permwreath.{info.name}")
+    for info in pkgutil.iter_modules(permwreath.__path__)
 ]
 
 README = Path(__file__).resolve().parent.parent / "README.md"

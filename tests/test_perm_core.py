@@ -33,9 +33,12 @@ class TestPermutation:
             Permutation((1, 1, 2))
         with pytest.raises(ValueError):
             Permutation((0, 1))
+        # Only text read by parse_perm is capped.
+        assert len(Permutation(range(1, 100))) == 99
+        long_text = " ".join(str(v) for v in range(1, 100))
         with pytest.raises(CapExceeded):
-            Permutation(range(1, 100))
-        assert len(Permutation(range(1, 100), max_len=128)) == 99
+            parse_perm(long_text)
+        assert len(parse_perm(long_text, max_len=128)) == 99
 
     def test_behaves_like_a_tuple(self):
         pi = p("2513764")
