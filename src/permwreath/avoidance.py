@@ -9,6 +9,7 @@ warning so sloppy command-line input stays visible).
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -70,6 +71,9 @@ class PermClass:
         object.__setattr__(self, "basis", keep)
         # The membership memo hashes its class argument on every lookup.
         object.__setattr__(self, "_hash", hash(keep))
+        # Every permutation shorter than this is a member; with no basis,
+        # every permutation is.
+        object.__setattr__(self, "_shortest", len(keep[0]) if keep else math.inf)
 
     def __hash__(self) -> int:
         return self._hash

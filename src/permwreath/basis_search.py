@@ -10,6 +10,12 @@ their children, by inserting n at every position.  Each candidate gets
 one greedy membership test; only a non-member has its other deletions
 looked up in the previous length's members.
 
+Next to the members, each length keeps the few of them that lie in the
+inner class itself.  A child contains its parent and the inner class is
+closed downward, so a child of a parent outside the inner class is
+outside it too: its membership test is told so and never searches the
+whole host for the inner class's basis.
+
 The antichain families are parameterised generators of arbitrarily long
 basis elements for specific products, each pairing an outer class with
 the inner classes it defeats.  The seven families come from two
@@ -23,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .avoidance import PermClass, named
+from .avoidance import PermClass, member, named
 from .perm_core import (
     ONE,
     CapExceeded,
@@ -36,6 +42,9 @@ from .profile import wreath_member
 
 #: Bound on the length of exhaustive basis enumeration.
 BASIS_CAP = 11
+
+#: Bound on the points one ``antichain gen`` call builds.
+ANTICHAIN_POINTS_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -57,13 +66,15 @@ def basis_elements_of_length(
     inner: PermClass,
     n: int,
     prev_members: Sequence[Permutation],
+    prev_inner: set[Permutation],
     *,
     keep_members: bool = True,
-) -> tuple[list[Permutation], list[Permutation]]:
+) -> tuple[list[Permutation], list[Permutation], set[Permutation]]:
     """One length-n pass of the basis scan, grown from the members below.
 
     ``prev_members`` is the sorted list of length-(n-1) members of the
-    product (ignored for n = 1).  Every length-n permutation has exactly
+    product and ``prev_inner`` the set of those that lie in ``inner``
+    itself (both ignored for n = 1).  Every length-n permutation has exactly
     one parent, the deletion of its maximum n, and a permutation whose
     parent is a non-member is a non-member that is not minimal.  So the
     candidates are the children of members: n inserted at each position
@@ -72,31 +83,46 @@ def basis_elements_of_length(
     the parent layer, and it is a basis element when all of them are
     there.
 
-    Returns the basis elements of length n in lexicographic order and
-    the sorted length-n members, the next pass's parent layer (empty
-    when ``keep_members`` is false, for the last length of a scan).
+    The verdict on ``inner`` is inherited.  A child contains its parent
+    and ``inner`` is closed downward, so the child of a parent outside
+    ``inner`` lies outside it too, and its membership test skips the
+    whole-host test against ``inner`` (``outside_inner``), which would
+    fail.  Only children of parents in ``inner`` can be in ``inner``, so
+    the next set needs no search of other children; for these few the
+    greedy pass has just tested the whole host, unless a shorter prefix
+    already left ``inner``, and the lookup is a memo hit.
+
+    Returns the basis elements of length n in lexicographic order, the
+    sorted length-n members (the next pass's parent layer) and the set
+    of those members that lie in ``inner``; both are empty when
+    ``keep_members`` is false, for the last length of a scan.
     """
     if n == 1:
+        # The point is a member only when blocks exist, i.e. it lies in inner.
         if wreath_member(ONE, outer, inner):
-            return [], [ONE]
-        return [ONE], []
+            return [], [ONE], {ONE}
+        return [ONE], [], set()
     parents = set(prev_members)
     members: list[Permutation] = []
+    in_inner: set[Permutation] = set()
     found: list[Permutation] = []
     for mu in prev_members:
         base = list(mu)
+        outside = mu not in prev_inner
         for p in range(n):
             pi = _trusted(base[:p] + [n] + base[p:])
-            if wreath_member(pi, outer, inner):
+            if wreath_member(pi, outer, inner, outside_inner=outside):
                 if keep_members:
                     members.append(pi)
+                    if not outside and member(pi, inner):
+                        in_inner.add(pi)
             elif all(
                 delete_point(pi, q) in parents for q in range(1, n + 1) if q != p + 1
             ):
                 found.append(pi)
     found.sort()
     members.sort()
-    return found, members
+    return found, members, in_inner
 
 
 def basis_passes(
@@ -109,18 +135,19 @@ def basis_passes(
     """Yield (n, basis elements of length n) for n = done+1..max_len.
 
     This is the one basis loop: each length is grown from the previous
-    length's members, so lengths up to ``done`` (already reported, e.g.
-    by a stored run) are rebuilt silently when there is anything left to
-    scan.
+    length's members and the set of them in ``inner``, so lengths up to
+    ``done`` (already reported, e.g. by a stored run) are rebuilt
+    silently when there is anything left to scan.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if done >= max_len:
         return
     members: list[Permutation] = []
+    in_inner: set[Permutation] = set()
     for n in range(1, max_len + 1):
-        found, members = basis_elements_of_length(
-            outer, inner, n, members, keep_members=n < max_len
+        found, members, in_inner = basis_elements_of_length(
+            outer, inner, n, members, in_inner, keep_members=n < max_len
         )
         if n > done:
             yield n, found
@@ -331,6 +358,24 @@ def antichain_member(family: str | AntichainFamily, k: int) -> Permutation:
     if k < 1:
         raise ValueError("family members are indexed from 1")
     return Permutation(family.generate(k))
+
+
+def family_points(family: AntichainFamily, k: int, *, upto: bool = False) -> int:
+    """Points in the k-th member of ``family``, or in members 1..k with ``upto``.
+
+    Every family's member length is affine in k: each step of the spine
+    adds one pair of points and each turn of the spiral two.  So the
+    first two members fix the line, and nothing longer is built.
+
+    >>> family_points(FAMILIES["thm6"], 10**5)
+    200005
+    """
+    first = len(family.generate(1))
+    step = len(family.generate(2)) - first
+    if upto:
+        k = max(k, 0)
+        return step * k * (k + 1) // 2 + (first - step) * k
+    return first + step * (k - 1)
 
 
 def check_antichain(perms: Iterable[Sequence[int]]) -> bool:

@@ -39,11 +39,13 @@ from .avoidance import (
     parse_class,
 )
 from .basis_search import (
+    ANTICHAIN_POINTS_CAP,
     BASIS_CAP,
     FAMILIES,
     antichain_member,
     basis_passes,
     check_antichain,
+    family_points,
     verify_basis_element,
 )
 from .blocks_pins import (
@@ -575,6 +577,9 @@ def _verify_basis(ns) -> Output:
 
 
 def _antichain_gen(ns) -> Output:
+    points = family_points(FAMILIES[ns.family], ns.k, upto=ns.upto)
+    if points > ANTICHAIN_POINTS_CAP:
+        raise CapExceeded(f"{points} points exceed the cap {ANTICHAIN_POINTS_CAP}")
     ks = range(1, ns.k + 1) if ns.upto else [ns.k]
     perms = [antichain_member(ns.family, k) for k in ks]
     lines = []

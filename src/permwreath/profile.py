@@ -18,7 +18,6 @@ from typing import Sequence
 
 from .avoidance import PermClass, member
 from .perm_core import (
-    ONE,
     CapExceeded,
     Permutation,
     _trusted,
@@ -45,54 +44,71 @@ class ProfileDecomposition:
     block_patterns: tuple[Permutation, ...]
 
 
-def left_greedy_profile(pi: Sequence[int], inner: PermClass) -> ProfileDecomposition:
-    """Contract blocks greedily from the left.
+def _greedy_blocks(
+    pi: Permutation, inner: PermClass, outside_inner: bool
+) -> tuple[list[int], list[int]]:
+    """The left-greedy blocks of ``pi``: their 0-based last positions and lows.
 
     Each block is the longest segment starting at the current position
     that is an interval of the host and whose pattern lies in ``inner``;
-    a singleton always qualifies.  The result is the unique shortest
-    deflation of the host by blocks from ``inner``.
+    a singleton always qualifies.  The valid block ends from a fixed
+    start form a prefix of the ascending interval ends: a longer
+    interval with the same start contains the shorter one, and
+    ``inner`` is closed downward.  So each block grows upward and stops
+    at the first interval whose pattern leaves ``inner``.  A block's
+    values are consecutive, so its pattern is simply ``v - min + 1``.
 
-    The valid block ends from a fixed start form a prefix of the
-    ascending interval ends: a longer interval with the same start
-    contains the shorter one, and ``inner`` is closed downward.  So the
-    scan grows each block upward and stops at the first interval whose
-    pattern leaves ``inner``.  A block's values are consecutive, so its
-    pattern is simply ``v - min + 1``.
+    Two exits skip work without changing a block:
 
-    >>> from .avoidance import av
-    >>> left_greedy_profile(Permutation((3, 4, 1, 5, 6, 7, 2)), av(21)).profile
-    Permutation([3, 1, 4, 2])
+    * The span ``hi - lo`` of the values seen from start s only grows
+      as the segment grows, and a segment s..e is an interval exactly
+      when its span is ``e - s``.  A block from s ends at the latest at
+      the last position it may reach (n - 1, or n - 2 for a hinted first
+      block), so once the span exceeds that distance from s no interval
+      from s can close, and the block is final.
+    * A pattern shorter than every basis element of ``inner`` involves
+      none of them, so such a block lies in ``inner`` without a memo
+      lookup.  An empty basis means no block is ever tested.
+
+    With ``outside_inner`` the caller vouches that the whole host lies
+    outside ``inner``.  The whole host is the last segment the first
+    block could test, and that test would fail, so the first block
+    stops one position short of the end and never runs it.  The blocks
+    are the same; a false promise gives a wrong answer.
     """
-    pi = pi if isinstance(pi, Permutation) else Permutation(pi)
-    if not member(ONE, inner):
-        raise ValueError(
-            "the block class excludes the one-point permutation; "
-            "nothing can be deflated by it"
-        )
     n = len(pi)
-    segments: list[tuple[int, int]] = []
-    patterns: list[Permutation] = []
+    shortest = inner._shortest
+    ends: list[int] = []
     lows: list[int] = []
     s = 0
+    stop = n - 1 if outside_inner else n
     while s < n:
         lo = hi = low = pi[s]
-        end, pat = s, ONE
-        for e in range(s + 1, n):
+        end = s
+        reach = stop - 1 - s
+        for e in range(s + 1, stop):
             v = pi[e]
             if v < lo:
                 lo = v
             elif v > hi:
                 hi = v
-            if hi - lo == e - s:
-                longer = _trusted([w - lo + 1 for w in pi[s : e + 1]])
-                if not member(longer, inner):
+            span = hi - lo
+            if span == e - s:
+                if span >= shortest - 1 and not member(
+                    _trusted([w - lo + 1 for w in pi[s : e + 1]]), inner
+                ):
                     break
-                end, pat, low = e, longer, lo
-        segments.append((s + 1, end + 1))
-        patterns.append(pat)
+                end, low = e, lo
+            elif span > reach:
+                break
+        ends.append(end)
         lows.append(low)
         s = end + 1
+        stop = n  # only the first block could have been the whole host
+    return ends, lows
+
+
+def _profile_of(lows: list[int], n: int) -> Permutation:
     # The blocks' value ranges tile 1..n, so ranking their lows by
     # counting gives the profile without a sort.
     rank = [0] * (n + 2)
@@ -100,21 +116,64 @@ def left_greedy_profile(pi: Sequence[int], inner: PermClass) -> ProfileDecomposi
         rank[v] = 1
     for v in range(1, n + 1):
         rank[v] += rank[v - 1]
-    profile = _trusted([rank[v] for v in lows])
-    return ProfileDecomposition(profile, tuple(segments), tuple(patterns))
+    return _trusted([rank[v] for v in lows])
 
 
-def wreath_member(pi: Sequence[int], outer: PermClass, inner: PermClass) -> bool:
+def left_greedy_profile(pi: Sequence[int], inner: PermClass) -> ProfileDecomposition:
+    """Contract blocks greedily from the left.
+
+    Each block is the longest segment starting at the current position
+    that is an interval of the host and whose pattern lies in ``inner``;
+    a singleton always qualifies.  The result is the unique shortest
+    deflation of the host by blocks from ``inner``.  The blocks come
+    from the one greedy pass that :func:`wreath_member` shares.
+
+    >>> from .avoidance import av
+    >>> left_greedy_profile(Permutation((3, 4, 1, 5, 6, 7, 2)), av(21)).profile
+    Permutation([3, 1, 4, 2])
+    """
+    pi = pi if isinstance(pi, Permutation) else Permutation(pi)
+    if inner._shortest == 1:
+        raise ValueError(
+            "the block class excludes the one-point permutation; "
+            "nothing can be deflated by it"
+        )
+    ends, lows = _greedy_blocks(pi, inner, False)
+    starts = [0, *(e + 1 for e in ends[:-1])]
+    return ProfileDecomposition(
+        _profile_of(lows, len(pi)),
+        tuple((s + 1, e + 1) for s, e in zip(starts, ends)),
+        tuple(
+            _trusted([w - low + 1 for w in pi[s : e + 1]])
+            for s, e, low in zip(starts, ends, lows)
+        ),
+    )
+
+
+def wreath_member(
+    pi: Sequence[int],
+    outer: PermClass,
+    inner: PermClass,
+    *,
+    outside_inner: bool = False,
+) -> bool:
     """True iff ``pi`` is an inflation of an ``outer`` member by ``inner`` members.
+
+    ``pi`` belongs to the product exactly when its left-greedy profile
+    lies in ``outer``.  ``outside_inner=True`` is a promise that ``pi``
+    itself lies outside ``inner`` (for example because a pattern of it
+    does); the greedy pass then skips the whole-host membership test,
+    whose answer is known.  The verdict is the same.
 
     >>> from .avoidance import av
     >>> wreath_member(Permutation((2, 5, 1, 3, 7, 6, 4)), av(25134), av(321))
     False
     """
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
-    if not member(ONE, inner):
+    if inner._shortest == 1:
         return False  # no blocks available: the product is empty
-    return member(left_greedy_profile(pi, inner).profile, outer)
+    _, lows = _greedy_blocks(pi, inner, outside_inner)
+    return member(_profile_of(lows, len(pi)), outer)
 
 
 def all_deflations(pi: Sequence[int], inner: PermClass) -> set[Permutation]:

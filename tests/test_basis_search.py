@@ -1,11 +1,12 @@
 import pytest
 
-from permwreath.avoidance import av, member, named
+from permwreath.avoidance import av, class_literal, member, named
 from permwreath.basis_search import (
     FAMILIES,
     VerifyResult,
     antichain_member,
     check_antichain,
+    family_points,
     verify_basis_element,
     wreath_basis,
 )
@@ -161,6 +162,15 @@ class TestFamiliesMatchFrozenOracle:
             assert FAMILIES[name].generate(k) == expected, k
             assert antichain_member(name, k) == Permutation(expected), k
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_points_are_affine_in_k(self, name):
+        lengths = [len(ORACLE_FAMILIES[name](k)) for k in range(1, 31)]
+        for k in range(1, 31):
+            assert family_points(FAMILIES[name], k) == lengths[k - 1], k
+            assert family_points(FAMILIES[name], k, upto=True) == sum(lengths[:k]), k
+        assert family_points(FAMILIES[name], 0, upto=True) == 0
+
+
 class TestCheckAntichain:
     def test_families_are_antichains(self):
         for name in FAMILIES:
@@ -287,6 +297,44 @@ class TestFirstFamilyStructure:
             assert values == (2 * k + 5, 2 * k + 4, 2 * k + 2)
 
 
+#: Products whose inner class has members at every length; av() is the
+#: empty basis, the class of every permutation.
+INNER_KEEPS_LONG_MEMBERS = [
+    (av(321), av(123)),
+    (av(25134), av(3412, 2413)),
+    (av(2413, 3142), av(231)),
+    (av(21), av()),
+]
+
+
+def oracle_basis(outer, inner, max_len):
+    """The minimal non-members up to ``max_len``, by (length, lex).
+
+    Membership comes from exhausting deflations and minimality from
+    deleting each point, over all of S_n: no code is shared with the
+    scanner's greedy route.  Verdicts are memoised so each permutation
+    is classified once.
+    """
+    verdicts = {}
+
+    def oracle_member(pi):
+        got = verdicts.get(pi)
+        if got is None:
+            got = any(member(d, outer) for d in all_deflations(pi, inner))
+            verdicts[pi] = got
+        return got
+
+    return [
+        pi
+        for pi in perms_up_to(max_len)
+        if not oracle_member(pi)
+        and (
+            len(pi) == 1
+            or all(oracle_member(delete_point(pi, q)) for q in range(1, len(pi) + 1))
+        )
+    ]
+
+
 class TestWreathBasis:
     def test_increasing_by_increasing(self):
         recs = wreath_basis(av(21), av(21), 5)
@@ -319,50 +367,29 @@ class TestWreathBasis:
             wreath_basis(av(21), av(21), max_len)
 
     def test_matches_independent_oracle(self):
-        # Oracle: membership by exhausting deflations, minimality by
-        # deleting each point; no shared code with the scanner's greedy
-        # profile route.  The empty product av(1) wr av(21) has the single
-        # point as its basis.
+        # The empty product av(1) wr av(21) has the single point as its
+        # basis.
         for outer, inner in ((av(321), av(21)), (av(1), av(21))):
-
-            def oracle_member(pi):
-                return any(member(d, outer) for d in all_deflations(pi, inner))
-
-            expected = []
-            for pi in perms_up_to(7):
-                if oracle_member(pi):
-                    continue
-                if len(pi) == 1 or all(
-                    oracle_member(delete_point(pi, q)) for q in range(1, len(pi) + 1)
-                ):
-                    expected.append(pi)
             got = [r.perm for r in wreath_basis(outer, inner, 7)]
-            assert got == sorted(expected, key=lambda q: (len(q), q)), (outer, inner)
+            assert got == oracle_basis(outer, inner, 7), (outer, inner)
 
     def test_matches_independent_oracle_deep(self):
-        # Same oracle construction, pushed to length 8 for the pair with
-        # the richest basis.  Verdicts are memoised so each permutation
-        # is classified once.
+        # Pushed to length 8 for the pair with the richest basis.
         outer, inner = av(25134), av(321)
-        verdicts = {}
-
-        def oracle_member(pi):
-            got = verdicts.get(pi)
-            if got is None:
-                got = any(member(d, outer) for d in all_deflations(pi, inner))
-                verdicts[pi] = got
-            return got
-
-        expected = []
-        for pi in perms_up_to(8):
-            if oracle_member(pi):
-                continue
-            if len(pi) == 1 or all(
-                oracle_member(delete_point(pi, q)) for q in range(1, len(pi) + 1)
-            ):
-                expected.append(pi)
         got = [r.perm for r in wreath_basis(outer, inner, 8)]
-        assert got == sorted(expected, key=lambda q: (len(q), q))
+        assert got == oracle_basis(outer, inner, 8)
+
+    @pytest.mark.parametrize(
+        "outer, inner", INNER_KEEPS_LONG_MEMBERS, ids=lambda c: class_literal(c)
+    )
+    def test_matches_independent_oracle_when_inner_keeps_long_members(
+        self, outer, inner
+    ):
+        # Children of parents inside the inner class are the ones whose
+        # whole host is still tested; these pairs keep such parents at
+        # every length, and av() keeps all of them.
+        got = [r.perm for r in wreath_basis(outer, inner, 7)]
+        assert got == oracle_basis(outer, inner, 7)
 
     def test_both_family_members_found_at_length_nine(self):
         recs = wreath_basis(av(25134), av(321), 9)

@@ -299,6 +299,33 @@ class TestResume:
         run("--store", str(tmp_path / "run.jsonl"), *SCAN, "--max-len", "6")
         assert lengths == [1, 2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ("av(321)", "av(123)"),
+            ("av(25134)", "av(3412,2413)"),
+            ("av(2413,3142)", "av(231)"),
+            ("av(21)", "av()"),
+        ],
+    )
+    def test_resume_from_five_matches_a_fresh_scan(self, tmp_path, x, y):
+        # Inner classes with members at every length, so the carried set
+        # of members inside the inner class is never empty.
+        scan = ("basis", "--x", x, "--y", y)
+        path = str(tmp_path / "run.jsonl")
+        first = run("--store", path, *scan, "--max-len", "5")
+        resumed = run("--store", path, *scan, "--max-len", "7")
+        fresh = run(*scan, "--max-len", "7")
+        assert first.exit_code == resumed.exit_code == fresh.exit_code == 0
+        lines = fresh.stdout.splitlines()
+        assert first.stdout.splitlines() == [s for s in lines if int(s.split()[0]) <= 5]
+        assert resumed.stdout.splitlines() == [s for s in lines if int(s.split()[0]) > 5]
+        records = [
+            obj["payload"] for _, obj in store_lines(path) if obj["kind"] == "basis_record"
+        ]
+        fresh_json = run("--json", *scan, "--max-len", "7").stdout
+        assert records == [json.loads(line) for line in fresh_json.splitlines()]
+
     def test_resume_tests_no_more_members_than_a_fresh_scan(
         self, tmp_path, monkeypatch
     ):
@@ -308,9 +335,9 @@ class TestResume:
         real = basis_search.wreath_member
         calls = [0]
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls[0] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(basis_search, "wreath_member", counting)
         path = str(tmp_path / "run.jsonl")
@@ -491,6 +518,36 @@ class TestLongPermutations:
         assert len(expected) == 67
         res = run("antichain", "gen", "widdershins-2143", "15")
         assert (res.exit_code, res.stdout) == (0, " ".join(map(str, expected)))
+
+    @pytest.mark.parametrize(
+        "argv, points",
+        [(("thm6", "1000000"), 2000005), (("widdershins-2143", "1000", "--upto"), 2009000)],
+    )
+    def test_antichain_gen_over_the_points_cap(self, monkeypatch, argv, points):
+        # The total is computed before any member is built.
+        def refuse(*args):
+            raise AssertionError("a member was built")
+
+        monkeypatch.setattr(cli, "antichain_member", refuse)
+        res = run("antichain", "gen", *argv)
+        assert (res.exit_code, res.stdout) == (
+            3,
+            f"limit: {points} points exceed the cap 1000000",
+        )
+
+    def test_antichain_gen_at_the_points_cap(self, monkeypatch):
+        # Members 1..997 of thm6 have 997 * 998 + 5 * 997 = 999,991
+        # points, under the cap, so every member is asked for; 998 is over.
+        built = []
+
+        def record(family, k):
+            built.append(k)
+            return p("1")
+
+        monkeypatch.setattr(cli, "antichain_member", record)
+        assert run("antichain", "gen", "thm6", "997", "--upto").exit_code == 0
+        assert built == list(range(1, 998))
+        assert run("antichain", "gen", "thm6", "998", "--upto").exit_code == 3
 
     def test_inflation_past_the_cap(self):
         up = " ".join(str(v) for v in range(1, 41))
@@ -931,6 +988,12 @@ GOLDEN = [
         "limit: length 69 exceeds the cap 64",
     ),
     (("--max-perm-len", "80", "simple", LONG), 1, "not simple", '{"simple": false}'),
+    (
+        ("antichain", "gen", "thm6", "1000", "--upto"),
+        3,
+        "limit: 1006000 points exceed the cap 1000000",
+        "limit: 1006000 points exceed the cap 1000000",
+    ),
     (
         (),
         2,

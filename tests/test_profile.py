@@ -27,6 +27,7 @@ STANDARD_CLASSES = (av(21), av(123), av(321), named("av3412-2413"))
 FAMILY_INNERS = sorted(
     {inner for fam in FAMILIES.values() for inner in fam.inners}, key=class_literal
 )
+FAMILY_PAIRS = [(fam.outer, inner) for fam in FAMILIES.values() for inner in fam.inners]
 
 
 def descending_greedy_profile(pi, inner):
@@ -168,6 +169,12 @@ class TestLeftGreedyProfile:
         pi = p(",".join(map(str, vals)))
         assert left_greedy_profile(pi, inner) == descending_greedy_profile(pi, inner)
 
+    def test_matches_descending_kernel_for_every_permutation(self):
+        # av() has no basis: no block is ever tested, and every interval
+        # qualifies.
+        for pi in perms_up_to(7):
+            assert left_greedy_profile(pi, av()) == descending_greedy_profile(pi, av())
+
     def test_decomposition_validates(self):
         for pi in perms_up_to(6):
             for inner in STANDARD_CLASSES:
@@ -197,6 +204,19 @@ class TestWreathMember:
             for outer, inner in pairs:
                 oracle = any(member(d, outer) for d in all_deflations(pi, inner))
                 assert wreath_member(pi, outer, inner) == oracle
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=12, max_value=40).flatmap(inflation_built),
+        st.sampled_from(FAMILY_PAIRS),
+    )
+    def test_outside_inner_hint_keeps_the_verdict(self, vals, pair):
+        outer, inner = pair
+        pi = p(",".join(map(str, vals)))
+        if not member(pi, inner):
+            assert wreath_member(pi, outer, inner, outside_inner=True) == wreath_member(
+                pi, outer, inner
+            )
 
     def test_closed_downward(self):
         from permwreath.perm_core import delete_point
