@@ -169,35 +169,92 @@ def delete_point(pi: Sequence[int], pos: int) -> Permutation:
     )
 
 
+#: What a failed candidate for an entry tells the matcher about later
+#: candidates for the same entry, by how later entries bound it: as a
+#: nearest lower bound only, as a nearest upper bound only, as both, or
+#: not at all.  See :func:`involves`.
+_LOWER, _UPPER, _BOTH, _FREE = range(4)
+
+
 @lru_cache(maxsize=4096)
-def _nearest_neighbours(sigma: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # For each index t of sigma, the earlier index holding the closest
-    # smaller value and the closest larger value (-1 when absent).
-    # Consistency with these two implies consistency with all earlier
-    # choices, so the matchers below only ever compare two bounds.
+def _pattern_table(sigma: tuple) -> tuple[tuple[int, int, int, int, int], ...]:
+    # One row (lo, dlo, hi, dhi, role) per index t of sigma.  lo and hi
+    # are the earlier indices holding the closest smaller and the closest
+    # larger value; k and k + 1 stand in when there is none, as virtual
+    # entries of value 0 and k + 1, so the matchers' chosen lists keep 0
+    # and n + 1 there.  dlo = sigma[t] - sigma[lo] and dhi = sigma[hi] -
+    # sigma[t] are the value gaps an occurrence must leave room for.
+    # Consistency with these two bounds implies consistency with all
+    # earlier choices, so the matchers only ever compare two bounds.
     k = len(sigma)
-    lo = [-1] * k
-    hi = [-1] * k
+    value = (*sigma, 0, k + 1)
+    lo = [k] * k
+    hi = [k + 1] * k
     for t in range(k):
         for s in range(t):
             if sigma[s] < sigma[t]:
-                if lo[t] < 0 or sigma[s] > sigma[lo[t]]:
+                if sigma[s] > value[lo[t]]:
                     lo[t] = s
-            else:
-                if hi[t] < 0 or sigma[s] < sigma[hi[t]]:
-                    hi[t] = s
-    return tuple(lo), tuple(hi)
+            elif sigma[s] < value[hi[t]]:
+                hi[t] = s
+    lower = set(lo)
+    upper = set(hi)
+    role = [
+        (_FREE, _LOWER, _UPPER, _BOTH)[(t in lower) + 2 * (t in upper)]
+        for t in range(k)
+    ]
+    return tuple(
+        (lo[t], sigma[t] - value[lo[t]], hi[t], value[hi[t]] - sigma[t], role[t])
+        for t in range(k)
+    )
 
 
 def involves(sigma: Sequence[int], pi: Sequence[int]) -> bool:
     """True iff some subsequence of ``pi`` is order isomorphic to ``sigma``.
 
-    Backtracking search with value-window pruning; exponential in the
-    worst case, which is fine at desk scale.
+    Backtracking search, exponential in the worst case, which is fine at
+    desk scale.  Entry t of ``sigma`` takes the positions of ``pi`` left
+    to right, after the position of entry t - 1, and its value v must lie
+    strictly between the values chosen for its nearest earlier lower and
+    upper neighbours in ``sigma``.  Two exact prunings narrow that:
+
+    * *Value gaps.*  The values of ``sigma`` strictly between entry t and
+      its nearest lower neighbour l all sit at later indices, since l is
+      the closest smaller value among the earlier ones; an occurrence
+      needs that many host values between chosen[l] and v.  So
+      v >= chosen[l] + sigma[t] - sigma[l], and likewise
+      v <= chosen[h] - (sigma[h] - sigma[t]) for the upper neighbour h.
+      With no lower neighbour the bound is v >= sigma[t]; with no upper
+      one it is v <= n - k + sigma[t].  Both only drop values no
+      occurrence can use.
+    * *Dominance.*  Later entries see entry t only as the nearest lower
+      bound of some of them, the nearest upper bound of some, both, or
+      neither (the role, fixed per pattern).  Say the search below the
+      candidate (p, v) for entry t fails: no choice of later entries at
+      positions after p satisfies their bounds.  A later candidate
+      (p', v') has p' > p, so it offers the later entries only positions
+      that (p, v) offered too, under the same bounds except those that
+      read v'.  If entry t bounds nothing, the bounds are the same, so
+      every later candidate fails and the search at t gives up.  If it
+      is a lower bound only, a candidate with v' > v only raises those
+      lower bounds, so it fails as well: the values above v are dropped.
+      An upper bound only drops the values below v, by the mirror
+      argument.  A two-sided entry drops nothing.
+
+    By induction from the last entry, the search at each entry succeeds
+    exactly when some completion of the earlier choices exists, so the
+    verdict is exact.
 
     >>> involves(Permutation((1, 3, 2, 4)), Permutation((6, 3, 5, 1, 4, 2, 7)))
     True
     >>> involves(Permutation((2, 1)), Permutation((1, 2)))
+    False
+
+    The 1 of 213 bounds no later entry.  In 4 5 1 2 3, with 4 as the 2,
+    the 1 at position 3 leaves no value above 4 for the 3, so the search
+    gives up on that 4 without trying the 2 at position 4 as the 1:
+
+    >>> involves(Permutation((2, 1, 3)), Permutation((4, 5, 1, 2, 3)))
     False
     """
     sig = tuple(sigma)
@@ -205,20 +262,27 @@ def involves(sigma: Sequence[int], pi: Sequence[int]) -> bool:
     k, n = len(sig), len(host)
     if k > n:
         return False
-    lo, hi = _nearest_neighbours(sig)
-    chosen = [0] * k
+    table = _pattern_table(sig)
+    chosen = [0] * k + [0, n + 1]
 
     def go(t: int, start: int) -> bool:
         if t == k:
             return True
-        lo_v = chosen[lo[t]] if lo[t] >= 0 else 0
-        hi_v = chosen[hi[t]] if hi[t] >= 0 else n + 1
-        for p in range(start, n - (k - t) + 1):
+        lo, dlo, hi, dhi, role = table[t]
+        lo_v = chosen[lo] + dlo
+        hi_v = chosen[hi] - dhi
+        for p in range(start, n - k + t + 1):
             v = host[p]
-            if lo_v < v < hi_v:
+            if lo_v <= v <= hi_v:
                 chosen[t] = v
                 if go(t + 1, p + 1):
                     return True
+                if role == _LOWER:
+                    hi_v = v - 1
+                elif role == _UPPER:
+                    lo_v = v + 1
+                elif role == _FREE:
+                    return False
         return False
 
     return go(0, 0)
@@ -238,25 +302,30 @@ def occurrences(sigma: Sequence[int], pi: Sequence[int]) -> int:
 def occurrence_positions(
     sigma: Sequence[int], pi: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
-    """Yield the 1-based position tuples of every occurrence of ``sigma``."""
+    """Yield the 1-based position tuples of every occurrence of ``sigma``.
+
+    The search of :func:`involves` with its value-gap windows; it lists
+    every occurrence, so it has no dominance pruning.
+    """
     sig = tuple(sigma)
     host = tuple(pi)
     k, n = len(sig), len(host)
     if k > n:
         return
-    lo, hi = _nearest_neighbours(sig)
-    chosen = [0] * k
+    table = _pattern_table(sig)
+    chosen = [0] * k + [0, n + 1]
     positions = [0] * k
 
     def go(t: int, start: int) -> Iterator[tuple[int, ...]]:
         if t == k:
             yield tuple(p + 1 for p in positions)
             return
-        lo_v = chosen[lo[t]] if lo[t] >= 0 else 0
-        hi_v = chosen[hi[t]] if hi[t] >= 0 else n + 1
-        for p in range(start, n - (k - t) + 1):
+        lo, dlo, hi, dhi, _ = table[t]
+        lo_v = chosen[lo] + dlo
+        hi_v = chosen[hi] - dhi
+        for p in range(start, n - k + t + 1):
             v = host[p]
-            if lo_v < v < hi_v:
+            if lo_v <= v <= hi_v:
                 chosen[t] = v
                 positions[t] = p
                 yield from go(t + 1, p + 1)

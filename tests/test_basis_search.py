@@ -174,8 +174,7 @@ class TestFamiliesMatchFrozenOracle:
 class TestCheckAntichain:
     def test_families_are_antichains(self):
         for name in FAMILIES:
-            upto = 3 if name.startswith("widdershins") else 5
-            members = [antichain_member(name, k) for k in range(1, upto + 1)]
+            members = [antichain_member(name, k) for k in range(1, 9)]
             assert check_antichain(members)
 
     def test_comparable_pairs_rejected(self):
@@ -218,6 +217,15 @@ class TestVerifyBasisElement:
             for k in (4, 5):
                 beta = antichain_member(name, k)
                 assert verify_basis_element(beta, fam.outer, fam.inner).ok, (name, k)
+
+    @pytest.mark.parametrize(
+        "name, k, points", [("widdershins-2143", 20, 87), ("widdershins-2413", 25, 105)]
+    )
+    def test_long_spiral_members(self, name, k, points):
+        fam = FAMILIES[name]
+        beta = antichain_member(name, k)
+        assert len(beta) == points
+        assert verify_basis_element(beta, fam.outer, fam.inner).ok
 
 
 def _verify_on_full_classes(pi, outer, inner):

@@ -563,6 +563,13 @@ class TestLongPermutations:
         res = run("--max-perm-len", "80", *argv)
         assert (res.exit_code, res.stdout) == (0, "basis element")
 
+    def test_verify_long_spiral_member(self):
+        member = " ".join(map(str, _oracle_wid_2143(20)))
+        assert len(member.split()) == 87
+        argv = ("verify-basis", member, "--x", "av412563", "--y", "av3412-2143")
+        res = run("--max-perm-len", "100", *argv)
+        assert (res.exit_code, res.stdout) == (0, "basis element")
+
 
 # The exact stdout and exit code of one command line per subcommand and
 # outcome, in text and in --json mode.  Usage errors and limits print

@@ -1,9 +1,17 @@
 import itertools
+import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
+from permwreath.basis_search import FAMILIES, antichain_member
 from permwreath.perm_core import (
+    _BOTH,
+    _FREE,
+    _LOWER,
+    _UPPER,
+    _pattern_table,
     CapExceeded,
     Permutation,
     delete_point,
@@ -140,6 +148,135 @@ class TestInvolves:
                 i = low.bit_length() - 1
                 assert below[i] & ~mask == 0  # transitive: below[i] subset of mask
                 k ^= low
+
+
+@lru_cache(maxsize=None)
+def _frozen_neighbours(sigma):
+    k = len(sigma)
+    lo = [-1] * k
+    hi = [-1] * k
+    for t in range(k):
+        for s in range(t):
+            if sigma[s] < sigma[t]:
+                if lo[t] < 0 or sigma[s] > sigma[lo[t]]:
+                    lo[t] = s
+            else:
+                if hi[t] < 0 or sigma[s] < sigma[hi[t]]:
+                    hi[t] = s
+    return tuple(lo), tuple(hi)
+
+
+def _frozen_involves(sigma, pi):
+    """The backtracker before the value-gap and dominance prunings, frozen
+    as the reference: entries left to right, each value kept strictly
+    between its nearest earlier lower and upper neighbours, and nothing
+    else pruned."""
+    sig = tuple(sigma)
+    host = tuple(pi)
+    k, n = len(sig), len(host)
+    if k > n:
+        return False
+    lo, hi = _frozen_neighbours(sig)
+    chosen = [0] * k
+
+    def go(t, start):
+        if t == k:
+            return True
+        lo_v = chosen[lo[t]] if lo[t] >= 0 else 0
+        hi_v = chosen[hi[t]] if hi[t] >= 0 else n + 1
+        for q in range(start, n - (k - t) + 1):
+            v = host[q]
+            if lo_v < v < hi_v:
+                chosen[t] = v
+                if go(t + 1, q + 1):
+                    return True
+        return False
+
+    return go(0, 0)
+
+
+#: One pattern per dominance role, each holding it at an entry before
+#: the last (where a failed candidate can occur).
+ROLE_PATTERNS = {_LOWER: "1342", _UPPER: "4231", _BOTH: "2413", _FREE: "2134"}
+LONG_HOST_PATTERNS = ("412563", "25134", "3412", "2143", "321654", *ROLE_PATTERNS.values())
+
+
+def _grow_avoider(rng, n, sigma):
+    # Insert maxima one at a time, each at a random slot that keeps the
+    # host avoiding sigma; a slot at one end always does, as sigma's
+    # maximum is not both its first and its last entry.  Growth asks the
+    # kernel under test, which only shapes the inputs: the tests check
+    # every final host against the frozen copy.
+    vals = [1]
+    for m in range(2, n + 1):
+        slots = list(range(m))
+        rng.shuffle(slots)
+        for q in slots:
+            cand = vals[:q] + [m] + vals[q:]
+            if not involves(sigma, cand):
+                vals = cand
+                break
+    return vals
+
+
+def _insert_point(rng, vals):
+    # One new point at a random position and value: often an occurrence.
+    m = len(vals) + 1
+    v = rng.randint(1, m)
+    out = [w + 1 if w >= v else w for w in vals]
+    out.insert(rng.randint(0, m - 1), v)
+    return out
+
+
+class TestInvolvesMatchesFrozenBacktracker:
+    """The pruned backtracker agrees with the frozen one and brute force."""
+
+    def test_every_short_pattern_in_every_short_host(self):
+        patterns = list(perms_up_to(4))
+        # Few distinct value tuples recur across hosts, so reduce each once.
+        pattern_of = lru_cache(maxsize=None)(reduce)
+        for pi in perms_up_to(7):
+            inside = {
+                pattern_of(combo)
+                for k in range(1, min(4, len(pi)) + 1)
+                for combo in itertools.combinations(pi, k)
+            }
+            for sigma in patterns:
+                expected = sigma in inside
+                assert involves(sigma, pi) == expected, (sigma, pi)
+                assert _frozen_involves(sigma, pi) == expected, (sigma, pi)
+
+    def test_role_patterns_cover_every_role(self):
+        for role, text in ROLE_PATTERNS.items():
+            roles = [row[4] for row in _pattern_table(tuple(p(text)))]
+            assert role in roles[:-1], (text, roles)
+
+    @pytest.mark.parametrize("text", LONG_HOST_PATTERNS)
+    def test_seeded_long_hosts(self, text):
+        sigma = p(text)
+        rng = random.Random(text)
+        verdicts = set()
+        for _ in range(6):
+            avoider = _grow_avoider(rng, rng.randint(20, 60), sigma)
+            hosts = (avoider, _insert_point(rng, avoider), _insert_point(rng, avoider))
+            for pi in hosts:
+                verdict = involves(sigma, pi)
+                assert verdict == _frozen_involves(sigma, pi), (sigma, pi)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_members_against_their_bases(self, name):
+        fam = FAMILIES[name]
+        patterns = {b for cls in (fam.outer, *fam.inners) for b in cls.basis}
+        verdicts = set()
+        for k in range(1, 9):
+            beta = antichain_member(name, k)
+            for sigma in patterns:
+                verdict = involves(sigma, beta)
+                assert verdict == _frozen_involves(sigma, beta), (sigma, name, k)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestOccurrences:
