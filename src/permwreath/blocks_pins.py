@@ -13,15 +13,23 @@ Pin words give proper pin sequences a free-standing form: an origin pair
 letters perpendicular.  Realising a word by integer ranks yields a
 permutation, and every proper pin sequence of a given shape realises the
 same pattern, so searching over words covers all of them.
+
+The kernels read only what can change their answer.  The proper pins
+after a given pin lie in the channel between it and the earlier
+rectangle, so ``_proper_pins`` reads that band of values and of
+positions and no other point.  Reaching sequences are proper by
+construction, so their flags are set, not rechecked.  A pin word is
+realised by one insertion per letter into each axis's rank order.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .avoidance import PermClass, member
-from .perm_core import Permutation, _trusted, points, reduce
+from .perm_core import Permutation, _trusted, reduce
 
 LEFT = "left"
 RIGHT = "right"
@@ -143,27 +151,27 @@ def _further(a: Point, b: Point, direction: str) -> bool:
     return a[1] < b[1]
 
 
-def _proper_pins(pts: Iterable[Point], last: Point, rect, prev) -> dict:
-    # The proper next pin in each direction: among the points of ``pts``
+def _proper_pins(pi: Sequence[int], pos_of: dict, last: Point, rect, prev) -> dict:
+    # The proper next pin in each direction: among the points of ``pi``
     # that slice ``rect``, the rectangle of the pins so far, and separate
     # the ``last`` pin from ``prev``, the rectangle of the earlier ones,
     # the furthest in its direction.  A point separates them exactly when
-    # it lies in the channel between them, a band of values or of
-    # positions.
+    # it lies in the channel between them: its value in the band
+    # (wmax, pval) or (pval, wmin), or its position in the band
+    # (qmax, ppos) or (ppos, qmin).  So only those values, read through
+    # ``pos_of``, and those positions, read through ``pi``, are visited.
+    # The order of the visits does not matter: ``_further`` is strict and
+    # two points differ in both coordinates, so the furthest is unique,
+    # and a point in both bands is merely visited twice.
     qmin, qmax, wmin, wmax = prev
     ppos, pval = last
+    band = [(pos_of[v], v) for v in (*range(wmax + 1, pval), *range(pval + 1, wmin))]
+    band += [(p, pi[p - 1]) for p in (*range(qmax + 1, ppos), *range(ppos + 1, qmin))]
     by_dir: dict = {}
-    for q in pts:
-        pos, val = q
-        if (
-            wmax < val < pval
-            or pval < val < wmin
-            or qmax < pos < ppos
-            or ppos < pos < qmin
-        ):
-            d = _slice_direction(q, rect)
-            if d is not None and (d not in by_dir or _further(q, by_dir[d], d)):
-                by_dir[d] = q
+    for q in band:
+        d = _slice_direction(q, rect)
+        if d is not None and (d not in by_dir or _further(q, by_dir[d], d)):
+            by_dir[d] = q
     return by_dir
 
 
@@ -203,7 +211,7 @@ def classify_pins(host: Sequence[int], pin_points: Iterable) -> PinSequence:
     if len(set(pts)) != len(pts):
         raise ValueError("pin points must be distinct")
 
-    host_points = points(host)
+    pos_of = {v: p for p, v in enumerate(host, start=1)}
     directions: list = [None, None]
     proper: list = [None, None]
     prev, rect = _bbox(pts[:1]), _bbox(pts[:2])
@@ -219,7 +227,7 @@ def classify_pins(host: Sequence[int], pin_points: Iterable) -> PinSequence:
                 idx + 1, "does not slice the rectangle of the earlier pins"
             )
         directions.append(d)
-        proper.append(_proper_pins(host_points, pts[idx - 1], rect, prev).get(d) == p)
+        proper.append(_proper_pins(host, pos_of, pts[idx - 1], rect, prev).get(d) == p)
         prev, rect = rect, _grow(rect, p)
     return PinSequence(host, pts, tuple(directions), tuple(proper))
 
@@ -276,23 +284,31 @@ def pin_word_points(word: PinWord) -> tuple[Permutation, tuple[tuple[int, int], 
     # so far: the cut is k when it is at k, and 2 when it is at 1.  Every
     # proper pin sequence with this word realises the same pattern, so
     # the construction is canonical as well as valid.
-    pos = [1, 2]
-    val = [1, 2] if word.origin == "12" else [2, 1]
-    for ch in word.letters:
+    #
+    # Each axis keeps the pin numbers in rank order, bottom first, and each
+    # letter makes one insertion next to an end of each.  On the axis it
+    # slices, the new pin goes just below the top pin when the previous
+    # pin is on top, taking rank k and lifting the top pin to k + 1 (cut
+    # k), and just above the bottom pin otherwise, taking rank 2 and
+    # lifting every rank from 2 (cut 2).  On the axis it leaves by, it
+    # goes on top for R and U, taking rank k + 1, and at the bottom for L
+    # and D, taking rank 1 and lifting every other.  The ranks are read
+    # off once at the end, so a word of k letters costs O(k).
+    pos = deque((0, 1))
+    val = deque((0, 1) if word.origin == "12" else (1, 0))
+    for k, ch in enumerate(word.letters, start=2):
         # ``cross`` is the axis the pin slices, ``along`` the one it leaves by.
         cross, along = (val, pos) if ch in _HORIZONTAL else (pos, val)
-        cut = len(cross) if cross[-1] > 1 else 2
-        cross[:] = [c + 1 if c >= cut else c for c in cross]
-        cross.append(cut)
+        cross.insert(k - 1 if cross[-1] == k - 1 else 1, k)
         if ch in "RU":
-            along.append(len(along) + 1)
+            along.append(k)
         else:
-            along[:] = [c + 1 for c in along]
-            along.append(1)
-    host = [0] * len(pos)
-    for p, v in zip(pos, val):
-        host[p - 1] = v
-    return _trusted(host), tuple(zip(pos, val))
+            along.appendleft(k)
+    pos_rank, val_rank = [0] * len(pos), [0] * len(val)
+    for axis, rank in ((pos, pos_rank), (val, val_rank)):
+        for r, pin in enumerate(axis, start=1):
+            rank[pin] = r
+    return _trusted(val_rank[pin] for pin in pos), tuple(zip(pos_rank, val_rank))
 
 
 def pin_word_to_perm(word: PinWord) -> Permutation:
@@ -306,43 +322,62 @@ def pin_word_to_perm(word: PinWord) -> Permutation:
 
 # --- reaching sequences -----------------------------------------------
 
-def _dfs_reaching(block_pts: list, p1, p2, target):
+def _dfs_reaching(pi: Sequence[int], p1, p2, target):
     # Depth-first over proper pins, trying R, U, L, D in that order (so
     # they are pushed in reverse).  A proper reaching sequence always
     # exists (Brignall, Huczynska and Vatter), so the search only has to
-    # find one.  Each entry carries the rectangle of its pins and that
-    # of all but the last.
-    stack = [([p1, p2], _bbox([p1, p2]), _bbox([p1]))]
+    # find one.  Each entry carries its pins, their directions (the keys
+    # under which ``_proper_pins`` returned them), the rectangle of its
+    # pins and that of all but the last.  A target among the starting
+    # points is reached by them alone.
+    if target in (p1, p2):
+        return [p1, p2], [None, None]
+    pos_of = {v: p for p, v in enumerate(pi, start=1)}
+    stack = [([p1, p2], [None, None], _bbox([p1, p2]), _bbox([p1]))]
     while stack:
-        pins, rect, prev = stack.pop()
+        pins, dirs, rect, prev = stack.pop()
         if pins[-1] == target:
-            return pins
-        cands = _proper_pins(block_pts, pins[-1], rect, prev)
+            return pins, dirs
+        cands = _proper_pins(pi, pos_of, pins[-1], rect, prev)
         for d in (DOWN, LEFT, UP, RIGHT):
             if d in cands:
                 q = cands[d]
-                stack.append((pins + [q], _grow(rect, q), rect))
+                stack.append((pins + [q], dirs + [d], _grow(rect, q), rect))
     return None
 
 
 def _reaching(pi: Sequence[int], i: int, j: int, side: str) -> PinSequence:
+    """The reaching sequence from positions (i, j) to the ``side`` end
+    of their minimal block, proper by construction.
+
+    Every pin the search takes is the one ``_proper_pins`` returned for
+    its direction, the proper pin among all the points of the host, so
+    every flag after the second pin is True and ``classify_pins`` need
+    not recheck them.  The search never leaves the minimal block, since
+    the block is an interval: its positions form a range and so do its
+    values.  The pins lie in the block, so the channel between the last
+    pin and the earlier rectangle lies within the block's position range
+    and its value range, and a host point outside the block lies outside
+    both ranges, so it can neither separate nor slice.  Properness among
+    the block's points is therefore properness among the host's points,
+    and a search over the block alone finds the same sequence.
+    """
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
     if not 1 <= i < j <= len(pi):
         raise ValueError(f"need 1 <= i < j <= {len(pi)}, got i={i}, j={j}")
     s, e = _minimal_span(pi, i, j)
-    block_pts = [(p, pi[p - 1]) for p in range(s, e + 1)]
     p1 = (i, pi[i - 1])
     p2 = (j, pi[j - 1])
     target = (e, pi[e - 1]) if side == "right" else (s, pi[s - 1])
-    if target in (p1, p2):
-        return classify_pins(pi, (p1, p2))
-    found = _dfs_reaching(block_pts, p1, p2, target)
+    found = _dfs_reaching(pi, p1, p2, target)
     if found is None:
         raise RuntimeError(
             f"no proper {side}-reaching pin sequence from ({i}, {j}); "
             "this should be impossible"
         )
-    return classify_pins(pi, found)
+    pins, dirs = found
+    flags = (None, None) + (True,) * (len(pins) - 2)
+    return PinSequence(pi, tuple(pins), tuple(dirs), flags)
 
 
 def right_reaching(pi: Sequence[int], i: int, j: int) -> PinSequence:

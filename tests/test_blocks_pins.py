@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from permwreath import blocks_pins
 from permwreath.avoidance import av, member, named
+from permwreath.basis_search import FAMILIES, antichain_member
 from permwreath.blocks_pins import (
     PinConditionError,
     PinWord,
     _bbox,
     _further,
+    _grow,
     _inside,
     _minimal_span,
     _slice_direction,
@@ -143,12 +146,108 @@ def loop_proper_flags(host, pts):
     return tuple(flags)
 
 
+# The three pin kernels as they stood before they read only the channel,
+# frozen as references: properness by a scan over every given point, the
+# reaching search over the points of the minimal block followed by a
+# full reclassification, and realisation by relabelling every rank.
+
+def _frozen_proper_pins(pts, last, rect, prev):
+    qmin, qmax, wmin, wmax = prev
+    ppos, pval = last
+    by_dir = {}
+    for q in pts:
+        pos, val = q
+        if (
+            wmax < val < pval
+            or pval < val < wmin
+            or qmax < pos < ppos
+            or ppos < pos < qmin
+        ):
+            d = _slice_direction(q, rect)
+            if d is not None and (d not in by_dir or _further(q, by_dir[d], d)):
+                by_dir[d] = q
+    return by_dir
+
+
+def _frozen_classify(host, pts):
+    """(directions, proper_flags) of a valid pin sequence, each pin judged
+    against every point of the host."""
+    host_points = points(host)
+    directions, proper = [None, None], [None, None]
+    prev, rect = _bbox(pts[:1]), _bbox(pts[:2])
+    for idx in range(2, len(pts)):
+        q = pts[idx]
+        d = _slice_direction(q, rect)
+        directions.append(d)
+        proper.append(
+            _frozen_proper_pins(host_points, pts[idx - 1], rect, prev).get(d) == q
+        )
+        prev, rect = rect, _grow(rect, q)
+    return tuple(directions), tuple(proper)
+
+
+def _frozen_dfs(block_pts, p1, p2, target):
+    stack = [([p1, p2], _bbox([p1, p2]), _bbox([p1]))]
+    while stack:
+        pins, rect, prev = stack.pop()
+        if pins[-1] == target:
+            return pins
+        cands = _frozen_proper_pins(block_pts, pins[-1], rect, prev)
+        for d in ("down", "left", "up", "right"):
+            if d in cands:
+                q = cands[d]
+                stack.append((pins + [q], _grow(rect, q), rect))
+    return None
+
+
+def _frozen_reaching(pi, i, j, side):
+    """(pins, directions, proper_flags) of the reaching sequence."""
+    s, e = _minimal_span(pi, i, j)
+    block_pts = [(q, pi[q - 1]) for q in range(s, e + 1)]
+    p1, p2 = (i, pi[i - 1]), (j, pi[j - 1])
+    target = (e, pi[e - 1]) if side == "right" else (s, pi[s - 1])
+    found = [p1, p2] if target in (p1, p2) else _frozen_dfs(block_pts, p1, p2, target)
+    return (tuple(found),) + _frozen_classify(pi, found)
+
+
+def _frozen_pin_word_points(word):
+    pos = [1, 2]
+    val = [1, 2] if word.origin == "12" else [2, 1]
+    for ch in word.letters:
+        cross, along = (val, pos) if ch in "LR" else (pos, val)
+        cut = len(cross) if cross[-1] > 1 else 2
+        cross[:] = [c + 1 if c >= cut else c for c in cross]
+        cross.append(cut)
+        if ch in "RU":
+            along.append(len(along) + 1)
+        else:
+            along[:] = [c + 1 for c in along]
+            along.append(1)
+    host = [0] * len(pos)
+    for q, v in zip(pos, val):
+        host[q - 1] = v
+    return _trusted(host), tuple(zip(pos, val))
+
+
+def _reached(seq):
+    return seq.pins, seq.directions, seq.proper_flags
+
+
+REACHES = ((right_reaching, "right"), (left_reaching, "left"))
+
+
+def increasing_oscillation(m):
+    """1 4 2 6 3 8 5 ... closed by m - 1: the plot of 12:URUR... with
+    m - 2 letters, for even m >= 4."""
+    return [1, 4, 2] + [q + 2 if q % 2 == 0 else q - 2 for q in range(4, m)] + [m - 1]
+
+
 @st.composite
 def pin_sequences(draw):
-    """A host of length 3-12 and a valid pin sequence of its points: two
+    """A host of length 3-40 and a valid pin sequence of its points: two
     distinct starting points, then up to n - 2 slicing points, stopping
-    early when none is left."""
-    n = draw(st.integers(3, 12))
+    early when none is left.  Long hosts give wide channels."""
+    n = draw(st.integers(3, 40))
     host = _trusted(draw(st.permutations(range(1, n + 1))))
     host_points = points(host)
     pts = draw(
@@ -274,6 +373,13 @@ class TestClassifyPins:
         host, pts = drawn
         assert classify_pins(host, pts).proper_flags == loop_proper_flags(host, pts)
 
+    @settings(max_examples=300, deadline=None)
+    @given(pin_sequences())
+    def test_matches_frozen_full_scan(self, drawn):
+        host, pts = drawn
+        seq = classify_pins(host, pts)
+        assert (seq.directions, seq.proper_flags) == _frozen_classify(host, pts)
+
 
 class TestPinWords:
     def test_validation(self):
@@ -325,6 +431,17 @@ class TestPinWords:
     def test_matches_fractional_realiser(self):
         for word in all_pin_words(10):
             assert pin_word_points(word) == fraction_pin_word_points(word), word
+
+    def test_matches_frozen_relabelling(self):
+        for word in all_pin_words(12):
+            assert pin_word_points(word) == _frozen_pin_word_points(word), word
+
+    def test_long_up_right_word_is_the_increasing_oscillation(self):
+        for m in range(4, 40, 2):
+            word = PinWord("12", "UR" * (m // 2 - 1))
+            assert list(pin_word_to_perm(word)) == increasing_oscillation(m)
+        word = PinWord("12", "UR" * 25_000)
+        assert list(pin_word_to_perm(word)) == increasing_oscillation(50_002)
 
     @given(st.sampled_from(["12", "21"]), st.data())
     def test_prefix_embeds(self, origin, data):
@@ -395,6 +512,35 @@ class TestReaching:
                         dirs = [d for d in seq.directions[2:]]
                         for a, b in zip(dirs, dirs[1:]):
                             assert axis[a] != axis[b]
+
+
+class TestReachingMatchesFrozenSearch:
+    """Channel-only properness and flags set by construction give the
+    sequence the block search and full reclassification gave."""
+
+    def test_every_pair_up_to_six(self):
+        for pi in perms_up_to(6):
+            n = len(pi)
+            for i in range(1, n):
+                for j in range(i + 1, n + 1):
+                    for fn, side in REACHES:
+                        assert _reached(fn(pi, i, j)) == _frozen_reaching(
+                            pi, i, j, side
+                        ), (pi, i, j, side)
+
+    def test_family_members(self):
+        rng = random.Random(12)
+        for name in FAMILIES:
+            for k in range(1, 13):
+                host = antichain_member(name, k)
+                n = len(host)
+                for _ in range(6):
+                    i = rng.randint(1, n - 1)
+                    j = rng.randint(i + 1, n)
+                    for fn, side in REACHES:
+                        assert _reached(fn(host, i, j)) == _frozen_reaching(
+                            host, i, j, side
+                        ), (name, k, i, j, side)
 
 
 class TestPinProbe:

@@ -20,6 +20,7 @@ from permwreath.perm_core import Permutation, parse_perm
 
 from conftest import p
 from test_basis_search import _oracle_thm6, _oracle_wid_2143
+from test_blocks_pins import increasing_oscillation
 
 
 def run(*argv):
@@ -569,6 +570,12 @@ class TestLongPermutations:
         argv = ("verify-basis", member, "--x", "av412563", "--y", "av3412-2143")
         res = run("--max-perm-len", "100", *argv)
         assert (res.exit_code, res.stdout) == (0, "basis element")
+
+    def test_long_pin_word(self):
+        # A realised word is computed, not parsed, so no cap applies.
+        res = run("pins", "word", "12:" + "UR" * 25_000)
+        expected = " ".join(map(str, increasing_oscillation(50_002)))
+        assert (res.exit_code, res.stdout) == (0, expected)
 
 
 # The exact stdout and exit code of one command line per subcommand and
