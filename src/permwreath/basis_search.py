@@ -6,15 +6,18 @@ non-members.  Membership is closed downward, so a permutation whose
 deletion of its maximum is a non-member is itself a non-member and not
 minimal.  The scan therefore never visits all of S_n: it keeps the
 sorted members of each length and builds the length-n candidates as
-their children, by inserting n at every position.  Each candidate gets
-one greedy membership test; only a non-member has its other deletions
-looked up in the previous length's members.
+their children, by inserting n at every position.  Each parent gets one
+full greedy pass; each child re-derives only the greedy blocks around
+n, and a child with as many blocks as its parent is a member without a
+lookup.  Only a non-member has its other deletions looked up in the
+previous length's members.
 
 Next to the members, each length keeps the few of them that lie in the
 inner class itself.  A child contains its parent and the inner class is
 closed downward, so a child of a parent outside the inner class is
-outside it too: its membership test is told so and never searches the
-whole host for the inner class's basis.
+outside it too: its greedy pass is told so and never searches the whole
+host for the inner class's basis.  A child of a parent inside the inner
+class is inside it exactly when it is one block.
 
 The antichain families are parameterised generators of arbitrarily long
 basis elements for specific products, each pairing an outer class with
@@ -38,7 +41,7 @@ from .perm_core import (
     delete_point,
     involves,
 )
-from .profile import wreath_member
+from .profile import _greedy_blocks, _profile_of, wreath_member
 
 #: Bound on the length of exhaustive basis enumeration.
 BASIS_CAP = 11
@@ -78,19 +81,53 @@ def basis_elements_of_length(
     one parent, the deletion of its maximum n, and a permutation whose
     parent is a non-member is a non-member that is not minimal.  So the
     candidates are the children of members: n inserted at each position
-    of each member.  A candidate is tested with :func:`wreath_member`
-    first; only a non-member has its other n-1 deletions looked up in
-    the parent layer, and it is a basis element when all of them are
+    of each member.  A non-member has its other n-1 deletions looked up
+    in the parent layer, and it is a basis element when all of them are
     there.
 
-    The verdict on ``inner`` is inherited.  A child contains its parent
-    and ``inner`` is closed downward, so the child of a parent outside
-    ``inner`` lies outside it too, and its membership test skips the
-    whole-host test against ``inner`` (``outside_inner``), which would
-    fail.  Only children of parents in ``inner`` can be in ``inner``, so
-    the next set needs no search of other children; for these few the
-    greedy pass has just tested the whole host, unless a shorter prefix
-    already left ``inner``, and the lookup is a memo hit.
+    Each parent mu gets one full greedy pass, the loop of
+    ``profile._greedy_blocks``, with the hint that it lies outside
+    ``inner`` when it does: that gives its m blocks, their ends and
+    their lows.  A
+    child pi is mu with n inserted at 0-based index p; let k be the
+    parent block that holds index p - 1, or 0 when p = 0.  The child's
+    values other than n are the parent's, so a block that misses n has
+    the same pattern in both.
+
+    (a) Prefix.  Parent blocks 0..k-1 are the child's first blocks.  A
+        child segment from one of their starts that crosses p holds n;
+        if it were a block, deleting n would leave a parent interval in
+        ``inner`` (closed downward) that reaches index p - 1, past the
+        end of that parent block, which the greedy made longest.
+    (b) Local re-run.  The same greedy loop runs on the child from the
+        start of block k.  When that start is 0 and the parent lies
+        outside ``inner``, so does the child, and the first block keeps
+        the stop short of the whole host.
+    (c) Rejoin.  Once the re-run reaches a start s > p where s - 1 is
+        the start of parent block j, the rest of the child is the rest
+        of the parent moved one place right: the greedy from s reads
+        only positions after n, so the remaining blocks are parent
+        blocks j.. shifted by one, with the same lows.
+
+    The child's block count is never below m: deleting n from its
+    shortest deflation leaves one of the parent's with as many blocks,
+    or one fewer when n is a block alone.
+
+    (d) Same count.  A child with exactly m blocks is a member, with no
+        profile and no lookup.  n is not a block alone, or deleting it
+        would leave a parent deflation of m - 1 blocks.  So deleting n
+        from its block leaves a parent deflation into m blocks from
+        ``inner`` with the child's profile.  The shortest profile is
+        unique, so that is the profile of the parent, a member, and it
+        lies in ``outer``.
+    (e) In ``inner``.  A child contains its parent and ``inner`` is
+        closed downward, so only a child of a parent in ``inner`` can
+        lie in it, and then exactly when its greedy pass is one block:
+        the first block is the longest segment from 0 in ``inner``.
+
+    Any other child splices its lows from the parent's prefix, the
+    re-run and the parent's tail, and its profile is looked up in
+    ``outer``.
 
     Returns the basis elements of length n in lexicographic order, the
     sorted length-n members (the next pass's parent layer) and the set
@@ -107,19 +144,30 @@ def basis_elements_of_length(
     in_inner: set[Permutation] = set()
     found: list[Permutation] = []
     for mu in prev_members:
-        base = list(mu)
         outside = mu not in prev_inner
+        pends, plows = _greedy_blocks(mu, inner, outside)
+        m = len(plows)
+        starts = [0, *(e + 1 for e in pends[:-1])]
+        rejoin = {s + 1: j for j, s in enumerate(starts)}
+        base = list(mu)
+        k = 0
         for p in range(n):
-            pi = _trusted(base[:p] + [n] + base[p:])
-            if wreath_member(pi, outer, inner, outside_inner=outside):
+            if p > pends[k] + 1:
+                k += 1
+            child = base[:p] + [n] + base[p:]
+            ends, lows = _greedy_blocks(child, inner, outside, starts[k], rejoin, p)
+            j = rejoin.get(ends[-1] + 1, m)
+            count = k + len(lows) + m - j
+            if count == m or member(_profile_of(plows[:k] + lows + plows[j:], n), outer):
                 if keep_members:
+                    pi = _trusted(child)
                     members.append(pi)
-                    if not outside and member(pi, inner):
+                    if not outside and count == 1:
                         in_inner.add(pi)
             elif all(
-                delete_point(pi, q) in parents for q in range(1, n + 1) if q != p + 1
+                delete_point(child, q) in parents for q in range(1, n + 1) if q != p + 1
             ):
-                found.append(pi)
+                found.append(_trusted(child))
     found.sort()
     members.sort()
     return found, members, in_inner

@@ -65,23 +65,29 @@ class MinimalBlock:
         return tuple(self.host[s - 1 : e])
 
 
-def _minimal_span(pi: Sequence[int], i: int, j: int) -> tuple[int, int]:
-    # Closure expansion: widen the position range to cover the value
-    # range and vice versa until stable.
-    pos_of = {v: p for p, v in enumerate(pi, start=1)}
-    lo, hi = i, j
-    while True:
-        seg = pi[lo - 1 : hi]
-        vlo, vhi = min(seg), max(seg)
-        missing = [v for v in range(vlo, vhi + 1) if not lo <= pos_of[v] <= hi]
-        if not missing:
-            return lo, hi
-        for v in missing:
-            p = pos_of[v]
-            if p < lo:
-                lo = p
-            elif p > hi:
-                hi = p
+def _minimal_span(pi: Sequence[int], pos_of: dict, i: int, j: int) -> tuple[int, int]:
+    # Closure expansion over a work list: the positions lo..hi and the
+    # values vlo..vhi read so far widen to cover what the other range
+    # needs, plo..phi and wlo..whi, until neither needs more.  Each
+    # position and each value is read once, when it is first covered.
+    lo = hi = i
+    vlo = vhi = pi[i - 1]
+    plo, phi, wlo, whi = i, j, vlo, vhi
+    while plo < lo or hi < phi:
+        for v in pi[plo - 1 : lo - 1] + pi[hi:phi]:
+            if v < wlo:
+                wlo = v
+            elif v > whi:
+                whi = v
+        lo, hi = plo, phi
+        for v in (*range(wlo, vlo), *range(vhi + 1, whi + 1)):
+            q = pos_of[v]
+            if q < plo:
+                plo = q
+            elif q > phi:
+                phi = q
+        vlo, vhi = wlo, whi
+    return lo, hi
 
 
 def minimal_block(pi: Sequence[int], i: int, j: int) -> MinimalBlock:
@@ -95,7 +101,7 @@ def minimal_block(pi: Sequence[int], i: int, j: int) -> MinimalBlock:
     n = len(pi)
     if not 1 <= i < j <= n:
         raise ValueError(f"need positions 1 <= i < j <= {n}, got i={i}, j={j}")
-    s, e = _minimal_span(pi, i, j)
+    s, e = _minimal_span(pi, {v: p for p, v in enumerate(pi, start=1)}, i, j)
     seg = pi[s - 1 : e]
     return MinimalBlock(pi, (s, e), (min(seg), max(seg)), reduce(seg))
 
@@ -322,7 +328,7 @@ def pin_word_to_perm(word: PinWord) -> Permutation:
 
 # --- reaching sequences -----------------------------------------------
 
-def _dfs_reaching(pi: Sequence[int], p1, p2, target):
+def _dfs_reaching(pi: Sequence[int], pos_of: dict, p1, p2, target):
     # Depth-first over proper pins, trying R, U, L, D in that order (so
     # they are pushed in reverse).  A proper reaching sequence always
     # exists (Brignall, Huczynska and Vatter), so the search only has to
@@ -332,7 +338,6 @@ def _dfs_reaching(pi: Sequence[int], p1, p2, target):
     # points is reached by them alone.
     if target in (p1, p2):
         return [p1, p2], [None, None]
-    pos_of = {v: p for p, v in enumerate(pi, start=1)}
     stack = [([p1, p2], [None, None], _bbox([p1, p2]), _bbox([p1]))]
     while stack:
         pins, dirs, rect, prev = stack.pop()
@@ -365,11 +370,12 @@ def _reaching(pi: Sequence[int], i: int, j: int, side: str) -> PinSequence:
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
     if not 1 <= i < j <= len(pi):
         raise ValueError(f"need 1 <= i < j <= {len(pi)}, got i={i}, j={j}")
-    s, e = _minimal_span(pi, i, j)
+    pos_of = {v: p for p, v in enumerate(pi, start=1)}
+    s, e = _minimal_span(pi, pos_of, i, j)
     p1 = (i, pi[i - 1])
     p2 = (j, pi[j - 1])
     target = (e, pi[e - 1]) if side == "right" else (s, pi[s - 1])
-    found = _dfs_reaching(pi, p1, p2, target)
+    found = _dfs_reaching(pi, pos_of, p1, p2, target)
     if found is None:
         raise RuntimeError(
             f"no proper {side}-reaching pin sequence from ({i}, {j}); "

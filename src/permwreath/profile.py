@@ -3,9 +3,12 @@
 The wreath product of two classes holds every inflation of a member of
 the outer class by members of the inner class.  Testing membership does
 not require trying every decomposition: contracting blocks greedily from
-the left yields the unique shortest deflation whose blocks lie in the
-inner class, and a permutation belongs to the wreath product exactly
-when that shortest deflation belongs to the outer class.
+the left yields a shortest deflation whose blocks lie in the inner
+class, and a permutation belongs to the wreath product exactly when
+that deflation belongs to the outer class.  The shortest deflation's
+profile is unique, but its segmentation need not be: with the inner
+class ``av(123)``, 123 splits as [12][3] or as [1][23], and both have
+the profile 12.  The greedy takes the leftmost longest block each time.
 
 A block here is always an interval of the host: consecutive positions
 carrying consecutive values.
@@ -14,7 +17,7 @@ carrying consecutive values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Container, Sequence
 
 from .avoidance import PermClass, member
 from .perm_core import (
@@ -45,7 +48,12 @@ class ProfileDecomposition:
 
 
 def _greedy_blocks(
-    pi: Permutation, inner: PermClass, outside_inner: bool
+    pi: Sequence[int],
+    inner: PermClass,
+    outside_inner: bool,
+    start: int = 0,
+    rejoin: Container[int] = (),
+    inserted: int = -1,
 ) -> tuple[list[int], list[int]]:
     """The left-greedy blocks of ``pi``: their 0-based last positions and lows.
 
@@ -74,14 +82,24 @@ def _greedy_blocks(
     outside ``inner``.  The whole host is the last segment the first
     block could test, and that test would fail, so the first block
     stops one position short of the end and never runs it.  The blocks
-    are the same; a false promise gives a wrong answer.
+    are the same; a false promise gives a wrong answer.  A pass from a
+    later ``start`` never reaches the whole host, so the hint does not
+    apply there.
+
+    The basis scan re-runs this same loop on a child, ``pi`` with its
+    maximum at index ``inserted``, from the start of a parent block
+    (see :func:`~permwreath.basis_search.basis_elements_of_length`).
+    It returns only the blocks from ``start``, and it stops at the first
+    start past ``inserted`` that is in ``rejoin``, the parent's block
+    starts moved one place right: from there on the child's blocks are
+    the parent's, shifted.  The full pass has no rejoin starts.
     """
     n = len(pi)
     shortest = inner._shortest
     ends: list[int] = []
     lows: list[int] = []
-    s = 0
-    stop = n - 1 if outside_inner else n
+    s = start
+    stop = n - 1 if outside_inner and not start else n
     while s < n:
         lo = hi = low = pi[s]
         end = s
@@ -105,6 +123,8 @@ def _greedy_blocks(
         lows.append(low)
         s = end + 1
         stop = n  # only the first block could have been the whole host
+        if s > inserted and s in rejoin:
+            break
     return ends, lows
 
 
@@ -124,9 +144,12 @@ def left_greedy_profile(pi: Sequence[int], inner: PermClass) -> ProfileDecomposi
 
     Each block is the longest segment starting at the current position
     that is an interval of the host and whose pattern lies in ``inner``;
-    a singleton always qualifies.  The result is the unique shortest
-    deflation of the host by blocks from ``inner``.  The blocks come
-    from the one greedy pass that :func:`wreath_member` shares.
+    a singleton always qualifies.  The result is a shortest deflation of
+    the host by blocks from ``inner``.  Its profile is the only profile
+    of that length, but other segmentations may give it: with
+    ``av(123)``, 123 is [12][3] here and also [1][23].  The blocks come
+    from the one greedy pass that :func:`wreath_member` and the basis
+    scan share.
 
     >>> from .avoidance import av
     >>> left_greedy_profile(Permutation((3, 4, 1, 5, 6, 7, 2)), av(21)).profile
@@ -150,20 +173,11 @@ def left_greedy_profile(pi: Sequence[int], inner: PermClass) -> ProfileDecomposi
     )
 
 
-def wreath_member(
-    pi: Sequence[int],
-    outer: PermClass,
-    inner: PermClass,
-    *,
-    outside_inner: bool = False,
-) -> bool:
+def wreath_member(pi: Sequence[int], outer: PermClass, inner: PermClass) -> bool:
     """True iff ``pi`` is an inflation of an ``outer`` member by ``inner`` members.
 
     ``pi`` belongs to the product exactly when its left-greedy profile
-    lies in ``outer``.  ``outside_inner=True`` is a promise that ``pi``
-    itself lies outside ``inner`` (for example because a pattern of it
-    does); the greedy pass then skips the whole-host membership test,
-    whose answer is known.  The verdict is the same.
+    lies in ``outer``.
 
     >>> from .avoidance import av
     >>> wreath_member(Permutation((2, 5, 1, 3, 7, 6, 4)), av(25134), av(321))
@@ -172,7 +186,7 @@ def wreath_member(
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
     if inner._shortest == 1:
         return False  # no blocks available: the product is empty
-    _, lows = _greedy_blocks(pi, inner, outside_inner)
+    _, lows = _greedy_blocks(pi, inner, False)
     return member(_profile_of(lows, len(pi)), outer)
 
 

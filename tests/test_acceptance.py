@@ -169,8 +169,9 @@ def test_criterion_6_structural_suites():
         n = len(pi)
         if n < 2:
             continue
+        pos_of = {v: q for q, v in enumerate(pi, start=1)}
         spans = {
-            (i, j): _minimal_span(pi, i, j)
+            (i, j): _minimal_span(pi, pos_of, i, j)
             for i in range(1, n)
             for j in range(i + 1, n + 1)
         }

@@ -5,6 +5,7 @@ from permwreath.basis_search import (
     FAMILIES,
     VerifyResult,
     antichain_member,
+    basis_elements_of_length,
     check_antichain,
     family_points,
     verify_basis_element,
@@ -12,8 +13,10 @@ from permwreath.basis_search import (
 )
 from permwreath.decomposition import INDECOMPOSABLE_BOTH, sum_skew_status
 from permwreath.perm_core import (
+    ONE,
     CapExceeded,
     Permutation,
+    _trusted,
     delete_point,
     occurrences,
 )
@@ -409,3 +412,74 @@ class TestWreathBasis:
     def test_empty_block_class_gives_point_basis(self):
         recs = wreath_basis(av(21), av(1), 3)
         assert [r.perm for r in recs] == [p("1")]
+
+
+def _frozen_length_pass(outer, inner, n, prev_members, prev_inner, *, keep_members=True):
+    """One length pass as it stood before children re-derived only the
+    blocks around n, frozen as the reference: every child gets a full
+    ``wreath_member`` test, and a child of a parent in ``inner`` is
+    looked up in ``inner``.  The outside-``inner`` hint it passed never
+    changed a verdict, so it is left out here."""
+    if n == 1:
+        if wreath_member(ONE, outer, inner):
+            return [], [ONE], {ONE}
+        return [ONE], [], set()
+    parents = set(prev_members)
+    members, in_inner, found = [], set(), []
+    for mu in prev_members:
+        base = list(mu)
+        outside = mu not in prev_inner
+        for p in range(n):
+            pi = _trusted(base[:p] + [n] + base[p:])
+            if wreath_member(pi, outer, inner):
+                if keep_members:
+                    members.append(pi)
+                    if not outside and member(pi, inner):
+                        in_inner.add(pi)
+            elif all(
+                delete_point(pi, q) in parents for q in range(1, n + 1) if q != p + 1
+            ):
+                found.append(pi)
+    found.sort()
+    members.sort()
+    return found, members, in_inner
+
+
+#: The pairs the child-aware pass is checked on against the frozen pass,
+#: with the longest length each is scanned to.  The canonical pair of
+#: every family is there (thm6's is the first).  The last three are
+#: degenerate: an inner class equal to the outer, an empty outer class,
+#: and a block class without the point.
+CHILD_AWARE_PAIRS = [
+    (av(25134), av(321), 8),
+    (av(21), av(231), 7),
+    (av(4321, 3412), av(21), 7),
+    (av(123), av(21), 7),
+    (av(321), av(21), 7),
+    (av(21), av(2413, 3142), 7),
+    (av(231), av(321), 7),
+    (av(2413), av(12, 21), 7),
+    *((fam.outer, fam.inner, 7) for name, fam in FAMILIES.items() if name != "thm6"),
+    (av(12), av(12), 6),
+    (av(1), av(321), 5),
+    (av(321), av(1), 5),
+]
+
+
+@pytest.mark.parametrize(
+    "outer, inner, max_len",
+    CHILD_AWARE_PAIRS,
+    ids=[f"{class_literal(x)}-{class_literal(y)}" for x, y, _ in CHILD_AWARE_PAIRS],
+)
+def test_child_aware_pass_matches_frozen_pass(outer, inner, max_len):
+    members, in_inner = [], set()
+    for n in range(1, max_len + 1):
+        got = basis_elements_of_length(outer, inner, n, members, in_inner)
+        assert got == _frozen_length_pass(outer, inner, n, members, in_inner), n
+        last = basis_elements_of_length(
+            outer, inner, n, members, in_inner, keep_members=False
+        )
+        assert last == _frozen_length_pass(
+            outer, inner, n, members, in_inner, keep_members=False
+        ), n
+        _, members, in_inner = got

@@ -202,7 +202,7 @@ def _frozen_dfs(block_pts, p1, p2, target):
 
 def _frozen_reaching(pi, i, j, side):
     """(pins, directions, proper_flags) of the reaching sequence."""
-    s, e = _minimal_span(pi, i, j)
+    s, e = brute_minimal_block(pi, i, j)
     block_pts = [(q, pi[q - 1]) for q in range(s, e + 1)]
     p1, p2 = (i, pi[i - 1]), (j, pi[j - 1])
     target = (e, pi[e - 1]) if side == "right" else (s, pi[s - 1])
@@ -314,13 +314,28 @@ class TestMinimalBlock:
                         pi, i, j
                     )
 
+    def test_span_matches_direct_scan_on_family_hosts(self):
+        rng = random.Random(13)
+        for name in FAMILIES:
+            for k in range(1, 13):
+                host = antichain_member(name, k)
+                n = len(host)
+                pos_of = {v: q for q, v in enumerate(host, start=1)}
+                for _ in range(12):
+                    i = rng.randint(1, n - 1)
+                    j = rng.randint(i + 1, n)
+                    assert _minimal_span(host, pos_of, i, j) == brute_minimal_block(
+                        host, i, j
+                    ), (name, k, i, j)
+
     def test_nesting_and_equality(self):
         for pi in perms_up_to(6):
             n = len(pi)
             if n < 2:
                 continue
+            pos_of = {v: q for q, v in enumerate(pi, start=1)}
             spans = {
-                (i, j): _minimal_span(pi, i, j)
+                (i, j): _minimal_span(pi, pos_of, i, j)
                 for i in range(1, n)
                 for j in range(i + 1, n + 1)
             }

@@ -332,15 +332,15 @@ class TestResume:
     ):
         # Deletions of the resumed length are looked up in the rebuilt
         # member layer, never re-tested, so resuming from 6 costs the same
-        # membership tests as scanning from scratch.
-        real = basis_search.wreath_member
+        # greedy passes as scanning from scratch.
+        real = basis_search._greedy_blocks
         calls = [0]
 
         def counting(*args, **kwargs):
             calls[0] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(basis_search, "wreath_member", counting)
+        monkeypatch.setattr(basis_search, "_greedy_blocks", counting)
         path = str(tmp_path / "run.jsonl")
         run("--store", path, *SCAN, "--max-len", "6")
         calls[0] = 0

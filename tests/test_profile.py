@@ -15,6 +15,7 @@ from permwreath.perm_core import (
 )
 from permwreath.profile import (
     ProfileDecomposition,
+    _greedy_blocks,
     all_deflations,
     is_valid_deflation,
     left_greedy_profile,
@@ -27,7 +28,6 @@ STANDARD_CLASSES = (av(21), av(123), av(321), named("av3412-2413"))
 FAMILY_INNERS = sorted(
     {inner for fam in FAMILIES.values() for inner in fam.inners}, key=class_literal
 )
-FAMILY_PAIRS = [(fam.outer, inner) for fam in FAMILIES.values() for inner in fam.inners]
 
 
 def descending_greedy_profile(pi, inner):
@@ -205,19 +205,6 @@ class TestWreathMember:
                 oracle = any(member(d, outer) for d in all_deflations(pi, inner))
                 assert wreath_member(pi, outer, inner) == oracle
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(min_value=12, max_value=40).flatmap(inflation_built),
-        st.sampled_from(FAMILY_PAIRS),
-    )
-    def test_outside_inner_hint_keeps_the_verdict(self, vals, pair):
-        outer, inner = pair
-        pi = p(",".join(map(str, vals)))
-        if not member(pi, inner):
-            assert wreath_member(pi, outer, inner, outside_inner=True) == wreath_member(
-                pi, outer, inner
-            )
-
     def test_closed_downward(self):
         from permwreath.perm_core import delete_point
 
@@ -226,6 +213,53 @@ class TestWreathMember:
             if wreath_member(pi, outer, inner) and len(pi) > 1:
                 for q in range(1, len(pi) + 1):
                     assert wreath_member(delete_point(pi, q), outer, inner)
+
+
+#: Inner classes of the pairs the basis scan is checked on, and the
+#: families' inner classes (av(321) among them); av(12,21) holds only
+#: the point, and av(1) not even that, so all their blocks are points.
+RESUMED_INNERS = [
+    av(231),
+    av(21),
+    av(2413, 3142),
+    av(12, 21),
+    av(12),
+    av(1),
+    *FAMILY_INNERS,
+]
+
+
+class TestGreedyBlocksKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=12, max_value=40).flatmap(inflation_built),
+        st.sampled_from(FAMILY_INNERS),
+    )
+    def test_outside_inner_hint_keeps_the_blocks(self, vals, inner):
+        pi = p(",".join(map(str, vals)))
+        if not member(pi, inner):
+            assert _greedy_blocks(pi, inner, True) == _greedy_blocks(pi, inner, False)
+
+    @pytest.mark.parametrize("inner", RESUMED_INNERS, ids=class_literal)
+    def test_resumed_greedy_equals_the_full_pass(self, inner):
+        # The parent's blocks before the one holding index p - 1, the
+        # re-run from that block's start, and the parent's blocks from
+        # the rejoin on, moved one place right, are the child's blocks.
+        for mu in perms_up_to(6):
+            n = len(mu) + 1
+            outside = not member(mu, inner)
+            pends, plows = _greedy_blocks(mu, inner, outside)
+            starts = [0, *(e + 1 for e in pends[:-1])]
+            rejoin = {s + 1: j for j, s in enumerate(starts)}
+            for at in range(n):
+                k = next(b for b, e in enumerate(pends) if e >= at - 1)
+                child = list(mu[:at]) + [n] + list(mu[at:])
+                ends, lows = _greedy_blocks(child, inner, outside, starts[k], rejoin, at)
+                j = rejoin.get(ends[-1] + 1, len(plows))
+                assert (
+                    pends[:k] + ends + [e + 1 for e in pends[j:]],
+                    plows[:k] + lows + plows[j:],
+                ) == _greedy_blocks(child, inner, False), (mu, at)
 
 
 class TestAllDeflations:
