@@ -102,11 +102,15 @@ def av(*patterns, name: str | None = None) -> PermClass:
     return PermClass(tuple(basis), name=name)
 
 
-@lru_cache(maxsize=MEMBER_CACHE_SIZE)
-def _member(pi: Permutation, cls: PermClass) -> bool:
+def _in_class(pi: Sequence[int], cls: PermClass) -> bool:
+    # The one class test, unmemoised: for a host that is tested once,
+    # a memo entry would only be written and never read.
     return not any(
         involves(b, pi) for b in cls.basis if len(b) <= len(pi)
     )
+
+
+_member = lru_cache(maxsize=MEMBER_CACHE_SIZE)(_in_class)
 
 
 def member(pi: Sequence[int], cls: PermClass) -> bool:
@@ -128,21 +132,23 @@ def enumerate_members(cls: PermClass, n: int) -> list[Permutation]:
 
     Members are grown by inserting the new maximum into shorter members
     (deleting the maximum of a member always lands back in the class),
-    so only candidates with a fighting chance get the full test.
+    so only candidates with a fighting chance get the full test.  Each
+    candidate is a distinct permutation tested once, so the test skips
+    the membership memo.
     """
     if n < 1:
         raise ValueError("length must be positive")
     if n > ENUM_CAP:
         raise CapExceeded(f"enumeration length {n} exceeds the cap {ENUM_CAP}")
-    layer = [ONE] if member(ONE, cls) else []
+    layer = [ONE] if _in_class(ONE, cls) else []
     for m in range(2, n + 1):
         grown = []
         for mu in layer:
             base = list(mu)
             for p in range(m):
-                cand = _trusted(base[:p] + [m] + base[p:])
-                if member(cand, cls):
-                    grown.append(cand)
+                cand = base[:p] + [m] + base[p:]
+                if _in_class(cand, cls):
+                    grown.append(_trusted(cand))
         layer = grown
     return sorted(layer)
 

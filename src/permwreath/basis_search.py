@@ -12,12 +12,17 @@ n, and a child with as many blocks as its parent is a member without a
 lookup.  Only a non-member has its other deletions looked up in the
 previous length's members.
 
-Next to the members, each length keeps the few of them that lie in the
-inner class itself.  A child contains its parent and the inner class is
-closed downward, so a child of a parent outside the inner class is
-outside it too: its greedy pass is told so and never searches the whole
-host for the inner class's basis.  A child of a parent inside the inner
-class is inside it exactly when it is one block.
+Next to the members, the scan carries the members that lie in the
+inner class itself, at every length below the one it scans.  Every
+permutation of the inner class is a member, one block inflating the
+point, so that set is the whole inner class below the scanned length,
+and it answers every block test: the scan makes no memo entry for a
+block.  A child contains its parent and the inner class is closed
+downward, so a child of a parent outside the inner class is outside it
+too: its greedy pass is told so and never tests the whole host.  A child
+of a parent inside the inner class is tested whole, once, and so is a
+child that is its own profile; neither verdict is memoised, since no
+later test repeats a whole host.
 
 The antichain families are parameterised generators of arbitrarily long
 basis elements for specific products, each pairing an outer class with
@@ -32,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .avoidance import PermClass, member, named
+from .avoidance import PermClass, _in_class, member, named
 from .perm_core import (
     ONE,
     CapExceeded,
@@ -76,8 +81,9 @@ def basis_elements_of_length(
     """One length-n pass of the basis scan, grown from the members below.
 
     ``prev_members`` is the sorted list of length-(n-1) members of the
-    product and ``prev_inner`` the set of those that lie in ``inner``
-    itself (both ignored for n = 1).  Every length-n permutation has exactly
+    product and ``prev_inner`` the set of the members of every length
+    below n that lie in ``inner`` itself (both ignored for n = 1).
+    Every length-n permutation has exactly
     one parent, the deletion of its maximum n, and a permutation whose
     parent is a non-member is a non-member that is not minimal.  So the
     candidates are the children of members: n inserted at each position
@@ -100,9 +106,9 @@ def basis_elements_of_length(
         ``inner`` (closed downward) that reaches index p - 1, past the
         end of that parent block, which the greedy made longest.
     (b) Local re-run.  The same greedy loop runs on the child from the
-        start of block k.  When that start is 0 and the parent lies
-        outside ``inner``, so does the child, and the first block keeps
-        the stop short of the whole host.
+        start of block k.  When that start is 0 the child is known to
+        lie outside ``inner`` (by (e)), so the first block keeps the
+        stop short of the whole host.
     (c) Rejoin.  Once the re-run reaches a start s > p where s - 1 is
         the start of parent block j, the rest of the child is the rest
         of the parent moved one place right: the greedy from s reads
@@ -122,17 +128,35 @@ def basis_elements_of_length(
         lies in ``outer``.
     (e) In ``inner``.  A child contains its parent and ``inner`` is
         closed downward, so only a child of a parent in ``inner`` can
-        lie in it, and then exactly when its greedy pass is one block:
-        the first block is the longest segment from 0 in ``inner``.
+        lie in it.  Such a child is tested whole against ``inner``
+        before its greedy pass: when it lies in ``inner`` it is one
+        block, m = 1 blocks as its parent, and a member by (d); when it
+        does not, its greedy pass gets the outside hint like every other
+        child.
+    (f) Block verdicts from the layers.  When the point lies in the
+        product it lies in ``outer``, and every permutation sigma of
+        ``inner`` is a member, the inflation 1[sigma].  By induction on
+        n, then, ``prev_inner`` is every permutation of ``inner``
+        shorter than n: each length's members include all of ``inner``
+        at that length, and (e) sorts out the ones in ``inner``.  Every
+        block this pass tests is shorter than n, a block of a parent or
+        of a child that the hint keeps off the whole host, so its
+        verdict is a lookup in ``prev_inner``, with no memo entry.  The
+        whole host is tested once and never memoised: against ``inner``
+        in (e), its verdict going into the returned set, and against
+        ``outer`` when the child has n blocks, since a child of
+        singleton blocks is its own profile.  When the point is not in
+        the product, no pass has parents and nothing is tested.
 
     Any other child splices its lows from the parent's prefix, the
-    re-run and the parent's tail, and its profile is looked up in
-    ``outer``.
+    re-run and the parent's tail, and its profile, shorter than n, is
+    looked up in ``outer``'s memo.
 
     Returns the basis elements of length n in lexicographic order, the
     sorted length-n members (the next pass's parent layer) and the set
-    of those members that lie in ``inner``; both are empty when
-    ``keep_members`` is false, for the last length of a scan.
+    of those members that lie in ``inner``, which the caller adds to the
+    next pass's ``prev_inner``; both are empty when ``keep_members`` is
+    false, for the last length of a scan.
     """
     if n == 1:
         # The point is a member only when blocks exist, i.e. it lies in inner.
@@ -140,12 +164,13 @@ def basis_elements_of_length(
             return [], [ONE], {ONE}
         return [ONE], [], set()
     parents = set(prev_members)
+    is_block = prev_inner.__contains__  # (f): every block is shorter than n
     members: list[Permutation] = []
     in_inner: set[Permutation] = set()
     found: list[Permutation] = []
     for mu in prev_members:
         outside = mu not in prev_inner
-        pends, plows = _greedy_blocks(mu, inner, outside)
+        pends, plows = _greedy_blocks(mu, inner, outside, in_inner=is_block)
         m = len(plows)
         starts = [0, *(e + 1 for e in pends[:-1])]
         rejoin = {s + 1: j for j, s in enumerate(starts)}
@@ -155,15 +180,24 @@ def basis_elements_of_length(
             if p > pends[k] + 1:
                 k += 1
             child = base[:p] + [n] + base[p:]
-            ends, lows = _greedy_blocks(child, inner, outside, starts[k], rejoin, p)
-            j = rejoin.get(ends[-1] + 1, m)
-            count = k + len(lows) + m - j
-            if count == m or member(_profile_of(plows[:k] + lows + plows[j:], n), outer):
+            if not outside and _in_class(child, inner):  # (e), unmemoised
                 if keep_members:
                     pi = _trusted(child)
                     members.append(pi)
-                    if not outside and count == 1:
-                        in_inner.add(pi)
+                    in_inner.add(pi)
+                continue
+            ends, lows = _greedy_blocks(
+                child, inner, True, starts[k], rejoin, p, in_inner=is_block
+            )
+            j = rejoin.get(ends[-1] + 1, m)
+            count = k + len(lows) + m - j
+            if count == m or (
+                _in_class(child, outer)
+                if count == n
+                else member(_profile_of(plows[:k] + lows + plows[j:], n), outer)
+            ):
+                if keep_members:
+                    members.append(_trusted(child))
             elif all(
                 delete_point(child, q) in parents for q in range(1, n + 1) if q != p + 1
             ):
@@ -183,9 +217,10 @@ def basis_passes(
     """Yield (n, basis elements of length n) for n = done+1..max_len.
 
     This is the one basis loop: each length is grown from the previous
-    length's members and the set of them in ``inner``, so lengths up to
-    ``done`` (already reported, e.g. by a stored run) are rebuilt
-    silently when there is anything left to scan.
+    length's members and the members in ``inner`` of every length
+    before it, so lengths up to ``done`` (already reported, e.g. by a
+    stored run) are rebuilt silently when there is anything left to
+    scan.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -194,9 +229,10 @@ def basis_passes(
     members: list[Permutation] = []
     in_inner: set[Permutation] = set()
     for n in range(1, max_len + 1):
-        found, members, in_inner = basis_elements_of_length(
+        found, members, new_inner = basis_elements_of_length(
             outer, inner, n, members, in_inner, keep_members=n < max_len
         )
+        in_inner |= new_inner
         if n > done:
             yield n, found
 

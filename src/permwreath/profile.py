@@ -17,7 +17,7 @@ carrying consecutive values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Sequence
+from typing import Callable, Container, Sequence
 
 from .avoidance import PermClass, member
 from .perm_core import (
@@ -54,6 +54,7 @@ def _greedy_blocks(
     start: int = 0,
     rejoin: Container[int] = (),
     inserted: int = -1,
+    in_inner: Callable[[Permutation], bool] | None = None,
 ) -> tuple[list[int], list[int]]:
     """The left-greedy blocks of ``pi``: their 0-based last positions and lows.
 
@@ -75,8 +76,16 @@ def _greedy_blocks(
       block), so once the span exceeds that distance from s no interval
       from s can close, and the block is final.
     * A pattern shorter than every basis element of ``inner`` involves
-      none of them, so such a block lies in ``inner`` without a memo
-      lookup.  An empty basis means no block is ever tested.
+      none of them, so such a block lies in ``inner`` without a test.
+      An empty basis means no block is ever tested.
+
+    Any other block pattern goes to ``in_inner``, the caller's test of
+    ``inner`` membership.  It defaults to the membership memo, which
+    :func:`wreath_member` and :func:`left_greedy_profile` use.  The
+    basis scan passes the membership test of its set of ``inner``'s
+    permutations shorter than the length it scans, which answers every
+    block it lets this loop test (rule (f) of
+    :func:`~permwreath.basis_search.basis_elements_of_length`).
 
     With ``outside_inner`` the caller vouches that the whole host lies
     outside ``inner``.  The whole host is the last segment the first
@@ -112,10 +121,12 @@ def _greedy_blocks(
                 hi = v
             span = hi - lo
             if span == e - s:
-                if span >= shortest - 1 and not member(
-                    _trusted([w - lo + 1 for w in pi[s : e + 1]]), inner
-                ):
-                    break
+                if span >= shortest - 1:
+                    block = _trusted([w - lo + 1 for w in pi[s : e + 1]])
+                    if not (
+                        member(block, inner) if in_inner is None else in_inner(block)
+                    ):
+                        break
                 end, low = e, lo
             elif span > reach:
                 break

@@ -1,6 +1,7 @@
 import pytest
 
-from permwreath.avoidance import av, class_literal, member, named
+from permwreath import basis_search, profile
+from permwreath.avoidance import av, class_literal, enumerate_members, member, named
 from permwreath.basis_search import (
     FAMILIES,
     VerifyResult,
@@ -447,9 +448,10 @@ def _frozen_length_pass(outer, inner, n, prev_members, prev_inner, *, keep_membe
 
 #: The pairs the child-aware pass is checked on against the frozen pass,
 #: with the longest length each is scanned to.  The canonical pair of
-#: every family is there (thm6's is the first).  The last three are
+#: every family is there (thm6's is the first).  The last five are
 #: degenerate: an inner class equal to the outer, an empty outer class,
-#: and a block class without the point.
+#: a block class without the point, and the classes of every
+#: permutation as the block class and as the outer class.
 CHILD_AWARE_PAIRS = [
     (av(25134), av(321), 8),
     (av(21), av(231), 7),
@@ -463,15 +465,19 @@ CHILD_AWARE_PAIRS = [
     (av(12), av(12), 6),
     (av(1), av(321), 5),
     (av(321), av(1), 5),
+    (av(321), av(), 6),
+    (av(), av(21), 6),
+]
+
+CHILD_AWARE_IDS = [
+    f"{class_literal(x)}-{class_literal(y)}" for x, y, _ in CHILD_AWARE_PAIRS
 ]
 
 
-@pytest.mark.parametrize(
-    "outer, inner, max_len",
-    CHILD_AWARE_PAIRS,
-    ids=[f"{class_literal(x)}-{class_literal(y)}" for x, y, _ in CHILD_AWARE_PAIRS],
-)
+@pytest.mark.parametrize("outer, inner, max_len", CHILD_AWARE_PAIRS, ids=CHILD_AWARE_IDS)
 def test_child_aware_pass_matches_frozen_pass(outer, inner, max_len):
+    # Driven as basis_passes drives it: the in-inner set passed to length
+    # n holds the members in inner of every length below n.
     members, in_inner = [], set()
     for n in range(1, max_len + 1):
         got = basis_elements_of_length(outer, inner, n, members, in_inner)
@@ -482,4 +488,70 @@ def test_child_aware_pass_matches_frozen_pass(outer, inner, max_len):
         assert last == _frozen_length_pass(
             outer, inner, n, members, in_inner, keep_members=False
         ), n
-        _, members, in_inner = got
+        _, members, new_inner = got
+        in_inner = in_inner | new_inner
+
+
+@pytest.mark.parametrize("outer, inner, max_len", CHILD_AWARE_PAIRS, ids=CHILD_AWARE_IDS)
+def test_carried_set_is_the_inner_class_below_the_scanned_length(
+    outer, inner, max_len, monkeypatch
+):
+    # Rule (f): when the product holds the point, the set a pass answers
+    # its block tests from is every permutation of inner shorter than the
+    # pass; otherwise it stays empty and no block is ever tested.
+    carried, greedy_calls = {}, []
+    real_pass = basis_search.basis_elements_of_length
+    real_greedy = basis_search._greedy_blocks
+
+    def spy_pass(outer, inner, n, prev_members, prev_inner, **kw):
+        carried[n] = set(prev_inner)
+        return real_pass(outer, inner, n, prev_members, prev_inner, **kw)
+
+    def spy_greedy(pi, *args, **kw):
+        greedy_calls.append(pi)
+        return real_greedy(pi, *args, **kw)
+
+    monkeypatch.setattr(basis_search, "basis_elements_of_length", spy_pass)
+    monkeypatch.setattr(basis_search, "_greedy_blocks", spy_greedy)
+    for _ in basis_search.basis_passes(outer, inner, max_len):
+        pass
+    assert sorted(carried) == list(range(1, max_len + 1))
+    if wreath_member(ONE, outer, inner):
+        for n, got in carried.items():
+            assert got == {
+                pi for length in range(1, n) for pi in enumerate_members(inner, length)
+            }, n
+    else:
+        assert all(not got for got in carried.values())
+        assert greedy_calls == []
+
+
+def test_scan_memoises_no_inner_test_and_no_whole_host(monkeypatch):
+    # The memo policy of the scan, read from its lookups: blocks are
+    # answered from the carried set and whole hosts are tested unmemoised,
+    # so no lookup names the inner class and none in pass n has length n.
+    # Pass 1 makes one lookup, the point against the outer class, through
+    # wreath_member.
+    outer, inner = av(25134), av(321)
+    lookups = []
+    passes = []
+    real_pass = basis_search.basis_elements_of_length
+
+    def spy_pass(outer, inner, n, *args, **kw):
+        passes.append(n)
+        return real_pass(outer, inner, n, *args, **kw)
+
+    def spy_member(pi, cls):
+        lookups.append((passes[-1], pi, cls))
+        return member(pi, cls)
+
+    monkeypatch.setattr(basis_search, "basis_elements_of_length", spy_pass)
+    monkeypatch.setattr(basis_search, "member", spy_member)
+    monkeypatch.setattr(profile, "member", spy_member)
+    assert len(wreath_basis(outer, inner, 8)) == 48
+    assert passes == list(range(1, 9))
+    assert all(n > 1 for n, _, _ in lookups[1:])
+    assert lookups[0] == (1, ONE, outer)
+    assert len(lookups) > 1000
+    assert all(cls == outer for _, _, cls in lookups)
+    assert all(len(pi) < n for n, pi, _ in lookups[1:])
