@@ -49,7 +49,7 @@ from .perm_core import (
 from .profile import _greedy_blocks, _profile_of, wreath_member
 
 #: Bound on the length of exhaustive basis enumeration.
-BASIS_CAP = 11
+BASIS_CAP = 10
 
 #: Bound on the points one ``antichain gen`` call builds.
 ANTICHAIN_POINTS_CAP = 10**6
@@ -224,6 +224,8 @@ def basis_passes(
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    if max_len > BASIS_CAP:
+        raise CapExceeded(f"max_len {max_len} exceeds the cap {BASIS_CAP}")
     if done >= max_len:
         return
     members: list[Permutation] = []
@@ -250,8 +252,6 @@ def wreath_basis(
     >>> [r.perm for r in wreath_basis(av(21), av(21), 5)]
     [Permutation([2, 1])]
     """
-    if max_len > BASIS_CAP:
-        raise CapExceeded(f"max_len {max_len} exceeds the cap {BASIS_CAP}")
     return [
         _record(p, outer, inner)
         for _, found in basis_passes(outer, inner, max_len)

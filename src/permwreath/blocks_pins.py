@@ -20,6 +20,10 @@ rectangle, so ``_proper_pins`` reads that band of values and of
 positions and no other point.  Reaching sequences are proper by
 construction, so their flags are set, not rechecked.  A pin word is
 realised by one insertion per letter into each axis's rank order.
+
+The pin probe walks the words depth first, so it holds O(cap) words
+whatever the class, and it lists at most ``PROBE_WITNESSES`` survivors.
+It accepts caps up to ``PIN_CAP``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .avoidance import PermClass, member
-from .perm_core import Permutation, _trusted, reduce
+from .perm_core import CapExceeded, Permutation, _trusted, reduce
 
 LEFT = "left"
 RIGHT = "right"
@@ -399,13 +403,27 @@ def left_reaching(pi: Sequence[int], i: int, j: int) -> PinSequence:
 
 # --- the bounded pin probe --------------------------------------------
 
+#: Largest cap :func:`pin_probe` accepts.
+PIN_CAP = 64
+
+#: Most cap-length survivors :func:`pin_probe` lists before it stops.
+PROBE_WITNESSES = 64
+
+# The letters that may follow a word's last letter, in reverse order:
+# pushed in this order, the first of them pops first.
+_PUSH_ORDER = {"": "DURL", "L": "DU", "R": "DU", "U": "RL", "D": "RL"}
+
+
 @dataclass(frozen=True)
 class PinProbeResult:
     """Outcome of the bounded probe.
 
-    ``threshold`` is the smallest number of letters at which every
-    realised permutation leaves the class (None when the cap was hit);
-    ``witnesses`` are the cap-length words still alive on exceeding.
+    ``threshold`` is one more than the number of letters of the longest
+    word whose realised permutation stays in the class, or 0 when neither
+    origin does (None when the cap was hit).  ``witnesses`` are the
+    cap-length words still alive on exceeding, in the order a
+    breadth-first search lists them, and at most ``PROBE_WITNESSES`` of
+    them: the walk stops once it has that many.
     """
 
     threshold: int | None
@@ -413,29 +431,19 @@ class PinProbeResult:
     witnesses: tuple[PinWord, ...]
 
 
-def _next_letters(letters: str) -> str:
-    if not letters:
-        return "LRUD"
-    return "UD" if letters[-1] in _HORIZONTAL else "LR"
-
-
-def _expand_alive(word: PinWord, inner: PermClass) -> list[PinWord]:
-    out = []
-    for ch in _next_letters(word.letters):
-        child = PinWord(word.origin, word.letters + ch)
-        if member(pin_word_to_perm(child), inner):
-            out.append(child)
-    return out
-
-
 def pin_probe(inner: PermClass, cap: int) -> PinProbeResult:
     """Search for the point where every proper pin sequence leaves ``inner``.
 
-    Level k holds the permutations realised by proper pin sequences of
-    k + 2 points, probed from both origins.  A branch dies as soon as
-    its realised permutation leaves the class (the class is closed
-    downward, so dead branches stay dead).  Returns the first empty
-    level, or the surviving cap-level words when the cap is reached.
+    A depth-first walk over the pin words from both origins, so it holds
+    O(cap) words on its stack.  A branch dies as soon as its realised
+    permutation leaves the class (the class is closed downward, so dead
+    branches stay dead).  Each word's children are pushed in reverse
+    letter order, so the words of one length are met in the order a
+    breadth-first search lists them.  The walk stops once
+    ``PROBE_WITNESSES`` words of ``cap`` letters are alive, and returns
+    them.  Otherwise it returns the threshold, one more than the longest
+    live word: the first length at which no word is alive.  A cap above
+    ``PIN_CAP`` raises :class:`CapExceeded`.
 
     >>> from .avoidance import av
     >>> pin_probe(av(21), 10).threshold
@@ -443,16 +451,19 @@ def pin_probe(inner: PermClass, cap: int) -> PinProbeResult:
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    frontier = [
-        w
-        for w in (PinWord("12"), PinWord("21"))
-        if member(pin_word_to_perm(w), inner)
-    ]
-    if not frontier:
-        return PinProbeResult(0, False, ())
-    for level in range(1, cap + 1):
-        nxt = [w for word in frontier for w in _expand_alive(word, inner)]
-        if not nxt:
-            return PinProbeResult(level, False, ())
-        frontier = nxt
-    return PinProbeResult(None, True, tuple(frontier))
+    if cap > PIN_CAP:
+        raise CapExceeded(f"pin cap {cap} exceeds the cap {PIN_CAP}")
+    longest, witnesses, stack = -1, [], [PinWord("21"), PinWord("12")]
+    while stack and len(witnesses) < PROBE_WITNESSES:
+        word = stack.pop()
+        if not member(pin_word_to_perm(word), inner):
+            continue
+        longest = max(longest, len(word.letters))
+        if len(word.letters) == cap:
+            witnesses.append(word)
+            continue
+        for ch in _PUSH_ORDER[word.letters[-1:]]:
+            stack.append(PinWord(word.origin, word.letters + ch))
+    if witnesses:
+        return PinProbeResult(None, True, tuple(witnesses))
+    return PinProbeResult(longest + 1, False, ())

@@ -40,7 +40,6 @@ from .avoidance import (
 )
 from .basis_search import (
     ANTICHAIN_POINTS_CAP,
-    BASIS_CAP,
     FAMILIES,
     antichain_member,
     basis_passes,
@@ -49,6 +48,7 @@ from .basis_search import (
     verify_basis_element,
 )
 from .blocks_pins import (
+    PROBE_WITNESSES,
     PinConditionError,
     classify_pins,
     left_reaching,
@@ -534,6 +534,8 @@ def _pin_probe(ns) -> Output:
     shown = ", ".join(str(w) for w in result.witnesses[:4])
     more = len(result.witnesses) - 4
     tail = f" (+{more} more)" if more > 0 else ""
+    if len(result.witnesses) == PROBE_WITNESSES:
+        tail = f" (+{more} more; the listing stops at {PROBE_WITNESSES})"
     text = f"exceeded cap {ns.pin_cap}; surviving words: {shown}{tail}"
     return EXIT_LIMIT, [obj], [text]
 
@@ -541,8 +543,6 @@ def _pin_probe(ns) -> Output:
 def _basis(ns) -> Output:
     outer = parse_class(ns.x)
     inner = parse_class(ns.y)
-    if ns.max_len > BASIS_CAP:
-        raise CapExceeded(f"max_len {ns.max_len} exceeds the cap {BASIS_CAP}")
     key = _job_key(outer, inner)
     completed = store_resume(ns.store).get(key, 0) if ns.store else 0
     payloads, lines = [], []

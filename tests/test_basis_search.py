@@ -370,8 +370,9 @@ class TestWreathBasis:
         assert keyed == sorted(keyed)
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            wreath_basis(av(21), av(21), 12)
+        for max_len in (11, 12):
+            with pytest.raises(CapExceeded):
+                wreath_basis(av(21), av(21), max_len)
 
     @pytest.mark.parametrize("max_len", [0, -3])
     def test_max_len_below_one_is_refused(self, max_len):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permwreath import blocks_pins
-from permwreath.avoidance import av, member, named
+from permwreath.avoidance import REGISTRY, av, member, named
 from permwreath.basis_search import FAMILIES, antichain_member
 from permwreath.blocks_pins import (
+    PIN_CAP,
+    PROBE_WITNESSES,
     PinConditionError,
     PinWord,
     _bbox,
@@ -25,7 +27,7 @@ from permwreath.blocks_pins import (
     pin_word_to_perm,
     right_reaching,
 )
-from permwreath.perm_core import _trusted, involves, points, reduce
+from permwreath.perm_core import CapExceeded, _trusted, involves, points, reduce
 
 from conftest import p, perms_up_to
 
@@ -227,6 +229,32 @@ def _frozen_pin_word_points(word):
     for q, v in zip(pos, val):
         host[q - 1] = v
     return _trusted(host), tuple(zip(pos, val))
+
+
+def _frozen_probe(inner, cap):
+    """The pin probe as first written, frozen as a reference: breadth
+    first, keeping every live word of each level; returns (threshold,
+    exceeded, every cap-level survivor)."""
+
+    def alive(word):
+        return member(pin_word_to_perm(word), inner)
+
+    def children(word):
+        if not word.letters:
+            letters = "LRUD"
+        else:
+            letters = "UD" if word.letters[-1] in "LR" else "LR"
+        return [PinWord(word.origin, word.letters + ch) for ch in letters]
+
+    frontier = [w for w in (PinWord("12"), PinWord("21")) if alive(w)]
+    if not frontier:
+        return 0, False, ()
+    for level in range(1, cap + 1):
+        nxt = [c for word in frontier for c in children(word) if alive(c)]
+        if not nxt:
+            return level, False, ()
+        frontier = nxt
+    return None, True, tuple(frontier)
 
 
 def _reached(seq):
@@ -583,6 +611,8 @@ class TestPinProbe:
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             pin_probe(av(21), 0)
+        with pytest.raises(CapExceeded):
+            pin_probe(av(21), PIN_CAP + 1)
 
     @pytest.mark.parametrize(
         "cls", [av(321), named("widdershins-y")], ids=["av321", "widdershins-y"]
@@ -610,3 +640,35 @@ class TestPinProbe:
                 succ = {}
                 for a, b in zip(tail, tail[1:]):
                     assert succ.setdefault(a, b) == b, w
+
+
+# The registry holds av(21) as "av21".
+PROBE_CLASSES = {
+    **REGISTRY,
+    "av1": av(1),
+    "av231": av(231),
+    "av2413-3142": av(2413, 3142),
+}
+
+
+class TestPinProbeMatchesFrozenBreadthFirst:
+    @pytest.mark.parametrize("cls", PROBE_CLASSES.values(), ids=list(PROBE_CLASSES))
+    def test_thresholds_and_first_witnesses(self, cls):
+        for cap in range(1, 11):
+            threshold, exceeded, survivors = _frozen_probe(cls, cap)
+            result = pin_probe(cls, cap)
+            assert (result.threshold, result.exceeded) == (threshold, exceeded), cap
+            assert result.witnesses == survivors[:PROBE_WITNESSES], cap
+
+    def test_realisations_at_cap_40(self, monkeypatch):
+        calls = []
+        realise = blocks_pins.pin_word_to_perm
+
+        def spy(word):
+            calls.append(word)
+            return realise(word)
+
+        monkeypatch.setattr(blocks_pins, "pin_word_to_perm", spy)
+        result = pin_probe(av(321), 40)
+        assert result.exceeded and len(result.witnesses) == 12
+        assert len(calls) == 938

@@ -201,6 +201,13 @@ class TestStore:
         done = store_resume(path)
         assert done == {"av(21)|av(21)": 3, "av(321)|av(21)": 3}
 
+    def test_over_cap_writes_no_record(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        res = run("--store", str(path), "basis", "--x", "av(21)", "--y", "av(21)",
+                  "--max-len", "11")
+        assert res.exit_code == 3 and res.stdout.startswith("limit: ")
+        assert not path.exists()
+
     def test_corrupt_line_is_fatal_with_line_number(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         store_append(path, [("length_complete", {"job": "x", "length": 1})])
@@ -893,6 +900,114 @@ GOLDEN = [
         "error: cap must be at least 1",
     ),
     (
+        ("pin-probe", "--y", "av(321)", "--pin-cap", "40"),
+        3,
+        (
+            "exceeded cap 40; surviving words: 12:LURURURURURURURURURURURURURURURURURURURU, "
+            "12:LDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLD, "
+            "12:RURURURURURURURURURURURURURURURURURURURU, "
+            "12:RDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLD (+8 more)"
+        ),
+        (
+            '{"exceeded": true, "threshold": null, "witnesses": ['
+            '"12:LURURURURURURURURURURURURURURURURURURURU", '
+            '"12:LDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLD", '
+            '"12:RURURURURURURURURURURURURURURURURURURURU", '
+            '"12:RDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLD", '
+            '"12:ULDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDL", '
+            '"12:URURURURURURURURURURURURURURURURURURURUR", '
+            '"12:DLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDL", '
+            '"12:DRURURURURURURURURURURURURURURURURURURUR", '
+            '"21:LDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLD", '
+            '"21:RURURURURURURURURURURURURURURURURURURURU", '
+            '"21:URURURURURURURURURURURURURURURURURURURUR", '
+            '"21:DLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDLDL"]}'
+        ),
+    ),
+    (
+        ("pin-probe", "--y", "av321654", "--pin-cap", "40"),
+        3,
+        (
+            "exceeded cap 40; surviving words: 12:LULULULULULULULULULULULULULULULULULULULU, "
+            "12:LULULULULULULULULULULULULULULULULULULULD, "
+            "12:LULULULULULULULULULULULULULULULULULULURU, "
+            "12:LULULULULULULULULULULULULULULULULULULURD (+60 more; the listing stops at 64)"
+        ),
+        (
+            '{"exceeded": true, "threshold": null, "witnesses": ['
+            '"12:LULULULULULULULULULULULULULULULULULULULU", '
+            '"12:LULULULULULULULULULULULULULULULULULULULD", '
+            '"12:LULULULULULULULULULULULULULULULULULULURU", '
+            '"12:LULULULULULULULULULULULULULULULULULULURD", '
+            '"12:LULULULULULULULULULULULULULULULULULULDLU", '
+            '"12:LULULULULULULULULULULULULULULULULULULDLD", '
+            '"12:LULULULULULULULULULULULULULULULULULULDRU", '
+            '"12:LULULULULULULULULULULULULULULULULULULDRD", '
+            '"12:LULULULULULULULULULULULULULULULULULURULU", '
+            '"12:LULULULULULULULULULULULULULULULULULURULD", '
+            '"12:LULULULULULULULULULULULULULULULULULURURU", '
+            '"12:LULULULULULULULULULULULULULULULULULURURD", '
+            '"12:LULULULULULULULULULULULULULULULULULURDLU", '
+            '"12:LULULULULULULULULULULULULULULULULULURDLD", '
+            '"12:LULULULULULULULULULULULULULULULULULURDRU", '
+            '"12:LULULULULULULULULULULULULULULULULULURDRD", '
+            '"12:LULULULULULULULULULULULULULULULULULDLULU", '
+            '"12:LULULULULULULULULULULULULULULULULULDLULD", '
+            '"12:LULULULULULULULULULULULULULULULULULDLURU", '
+            '"12:LULULULULULULULULULULULULULULULULULDLURD", '
+            '"12:LULULULULULULULULULULULULULULULULULDLDLU", '
+            '"12:LULULULULULULULULULULULULULULULULULDLDLD", '
+            '"12:LULULULULULULULULULULULULULULULULULDLDRU", '
+            '"12:LULULULULULULULULULULULULULULULULULDLDRD", '
+            '"12:LULULULULULULULULULULULULULULULULULDRULU", '
+            '"12:LULULULULULULULULULULULULULULULULULDRULD", '
+            '"12:LULULULULULULULULULULULULULULULULULDRURU", '
+            '"12:LULULULULULULULULULULULULULULULULULDRURD", '
+            '"12:LULULULULULULULULULULULULULULULULULDRDLU", '
+            '"12:LULULULULULULULULULULULULULULULULULDRDLD", '
+            '"12:LULULULULULULULULULULULULULULULULULDRDRU", '
+            '"12:LULULULULULULULULULULULULULULULULULDRDRD", '
+            '"12:LULULULULULULULULULULULULULULULULURULULU", '
+            '"12:LULULULULULULULULULULULULULULULULURULULD", '
+            '"12:LULULULULULULULULULULULULULULULULURULURU", '
+            '"12:LULULULULULULULULULULULULULULULULURULURD", '
+            '"12:LULULULULULULULULULULULULULULULULURULDLU", '
+            '"12:LULULULULULULULULULULULULULULULULURULDLD", '
+            '"12:LULULULULULULULULULULULULULULULULURULDRU", '
+            '"12:LULULULULULULULULULULULULULULULULURULDRD", '
+            '"12:LULULULULULULULULULULULULULULULULURURULU", '
+            '"12:LULULULULULULULULULULULULULULULULURURULD", '
+            '"12:LULULULULULULULULULULULULULULULULURURURU", '
+            '"12:LULULULULULULULULULULULULULULULULURURURD", '
+            '"12:LULULULULULULULULULULULULULULULULURURDLU", '
+            '"12:LULULULULULULULULULULULULULULULULURURDLD", '
+            '"12:LULULULULULULULULULULULULULULULULURURDRU", '
+            '"12:LULULULULULULULULULULULULULULULULURURDRD", '
+            '"12:LULULULULULULULULULULULULULULULULURDLULU", '
+            '"12:LULULULULULULULULULULULULULULULULURDLULD", '
+            '"12:LULULULULULULULULULULULULULULULULURDLURU", '
+            '"12:LULULULULULULULULULULULULULULULULURDLURD", '
+            '"12:LULULULULULULULULULULULULULULULULURDLDLU", '
+            '"12:LULULULULULULULULULULULULULULULULURDLDLD", '
+            '"12:LULULULULULULULULULULULULULULULULURDLDRU", '
+            '"12:LULULULULULULULULULULULULULULULULURDLDRD", '
+            '"12:LULULULULULULULULULULULULULULULULURDRULU", '
+            '"12:LULULULULULULULULULULULULULULULULURDRULD", '
+            '"12:LULULULULULULULULULULULULULULULULURDRURU", '
+            '"12:LULULULULULULULULULULULULULULULULURDRURD", '
+            '"12:LULULULULULULULULULULULULULULULULURDRDLU", '
+            '"12:LULULULULULULULULULULULULULULULULURDRDLD", '
+            '"12:LULULULULULULULULULULULULULULULULURDRDRU", '
+            '"12:LULULULULULULULULULULULULULULULULURDRDRD"]}'
+        ),
+    ),
+    (
+        ("pin-probe", "--y", "av(321)", "--pin-cap", "65"),
+        3,
+        "limit: pin cap 65 exceeds the cap 64",
+        "limit: pin cap 65 exceeds the cap 64",
+    ),
+    (
         ("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "5"),
         0,
         "2 21",
@@ -923,8 +1038,14 @@ GOLDEN = [
     (
         ("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "12"),
         3,
-        "limit: max_len 12 exceeds the cap 11",
-        "limit: max_len 12 exceeds the cap 11",
+        "limit: max_len 12 exceeds the cap 10",
+        "limit: max_len 12 exceeds the cap 10",
+    ),
+    (
+        ("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "11"),
+        3,
+        "limit: max_len 11 exceeds the cap 10",
+        "limit: max_len 11 exceeds the cap 10",
     ),
     (
         ("verify-basis", "2513764", "--x", "av(25134)", "--y", "av(321)"),
