@@ -5,12 +5,12 @@ member but every one-point deletion is: the basis is the set of minimal
 non-members.  Membership is closed downward, so a permutation whose
 deletion of its maximum is a non-member is itself a non-member and not
 minimal.  The scan therefore never visits all of S_n: it keeps the
-sorted members of each length and builds the length-n candidates as
-their children, by inserting n at every position.  Each parent gets one
-full greedy pass; each child re-derives only the greedy blocks around
-n, and a child with as many blocks as its parent is a member without a
-lookup.  Only a non-member has its other deletions looked up in the
-previous length's members.
+members of each length as one set and builds the length-n candidates
+as their children, by inserting n at every position.  Each parent gets
+one full greedy pass; each child re-derives only the greedy blocks
+around n, and a child with as many blocks as its parent is a member
+without a lookup.  Only a non-member has its other deletions looked up
+in the previous length's members.
 
 Next to the members, the scan carries the members that lie in the
 inner class itself, at every length below the one it scans.  Every
@@ -65,31 +65,27 @@ class BasisRecord:
     length: int
 
 
-def _record(pi: Permutation, outer: PermClass, inner: PermClass) -> BasisRecord:
-    return BasisRecord(pi, outer.basis, inner.basis, len(pi))
-
-
 def basis_elements_of_length(
     outer: PermClass,
     inner: PermClass,
     n: int,
-    prev_members: Sequence[Permutation],
+    parents: set[Permutation],
     prev_inner: set[Permutation],
     *,
     keep_members: bool = True,
-) -> tuple[list[Permutation], list[Permutation], set[Permutation]]:
+) -> tuple[list[Permutation], set[Permutation], set[Permutation]]:
     """One length-n pass of the basis scan, grown from the members below.
 
-    ``prev_members`` is the sorted list of length-(n-1) members of the
-    product and ``prev_inner`` the set of the members of every length
-    below n that lie in ``inner`` itself (both ignored for n = 1).
-    Every length-n permutation has exactly
-    one parent, the deletion of its maximum n, and a permutation whose
-    parent is a non-member is a non-member that is not minimal.  So the
-    candidates are the children of members: n inserted at each position
-    of each member.  A non-member has its other n-1 deletions looked up
-    in the parent layer, and it is a basis element when all of them are
-    there.
+    ``parents`` is the set of length-(n-1) members of the product, which
+    the pass grows its candidates from and looks deletions up in, and
+    ``prev_inner`` the set of the members of every length below n that
+    lie in ``inner`` itself (both ignored for n = 1).  Every length-n
+    permutation has exactly one parent, the deletion of its maximum n,
+    and a permutation whose parent is a non-member is a non-member that
+    is not minimal.  So the candidates are the children of members: n
+    inserted at each position of each member.  A non-member has its
+    other n-1 deletions looked up in ``parents``, and it is a basis
+    element when all of them are there.
 
     Each parent mu gets one full greedy pass, the loop of
     ``profile._greedy_blocks``, with the hint that it lies outside
@@ -153,22 +149,23 @@ def basis_elements_of_length(
     looked up in ``outer``'s memo.
 
     Returns the basis elements of length n in lexicographic order, the
-    sorted length-n members (the next pass's parent layer) and the set
-    of those members that lie in ``inner``, which the caller adds to the
-    next pass's ``prev_inner``; both are empty when ``keep_members`` is
-    false, for the last length of a scan.
+    set of length-n members (the next pass's ``parents``) and the
+    set of those members that lie in ``inner``, which the caller adds to
+    the next pass's ``prev_inner``; both sets are empty when
+    ``keep_members`` is false, for the last length of a scan.  Only the
+    basis elements are sorted: the order in which a pass visits its
+    parents changes no verdict.
     """
     if n == 1:
         # The point is a member only when blocks exist, i.e. it lies in inner.
         if wreath_member(ONE, outer, inner):
-            return [], [ONE], {ONE}
-        return [ONE], [], set()
-    parents = set(prev_members)
+            return [], {ONE}, {ONE}
+        return [ONE], set(), set()
     is_block = prev_inner.__contains__  # (f): every block is shorter than n
-    members: list[Permutation] = []
+    members: set[Permutation] = set()
     in_inner: set[Permutation] = set()
     found: list[Permutation] = []
-    for mu in prev_members:
+    for mu in parents:
         outside = mu not in prev_inner
         pends, plows = _greedy_blocks(mu, inner, outside, in_inner=is_block)
         m = len(plows)
@@ -183,7 +180,7 @@ def basis_elements_of_length(
             if not outside and _in_class(child, inner):  # (e), unmemoised
                 if keep_members:
                     pi = _trusted(child)
-                    members.append(pi)
+                    members.add(pi)
                     in_inner.add(pi)
                 continue
             ends, lows = _greedy_blocks(
@@ -197,13 +194,12 @@ def basis_elements_of_length(
                 else member(_profile_of(plows[:k] + lows + plows[j:], n), outer)
             ):
                 if keep_members:
-                    members.append(_trusted(child))
+                    members.add(_trusted(child))
             elif all(
                 delete_point(child, q) in parents for q in range(1, n + 1) if q != p + 1
             ):
                 found.append(_trusted(child))
     found.sort()
-    members.sort()
     return found, members, in_inner
 
 
@@ -211,32 +207,33 @@ def basis_passes(
     outer: PermClass,
     inner: PermClass,
     max_len: int,
-    *,
-    done: int = 0,
 ) -> Iterator[tuple[int, list[Permutation]]]:
-    """Yield (n, basis elements of length n) for n = done+1..max_len.
+    """The one basis loop: (n, basis elements of length n) for n = 1..max_len.
 
-    This is the one basis loop: each length is grown from the previous
-    length's members and the members in ``inner`` of every length
-    before it, so lengths up to ``done`` (already reported, e.g. by a
-    stored run) are rebuilt silently when there is anything left to
-    scan.
+    The limits are checked when this is called, not when the passes are
+    first iterated, so a refused scan raises before its caller does
+    anything else: ``ValueError`` below length 1 and ``CapExceeded``
+    above ``BASIS_CAP``.  It then returns the generator of passes.  Each
+    length is grown from the previous length's members and the members
+    in ``inner`` of every length before it, so every pass runs; a caller
+    that has already reported some lengths, as the CLI has those in its
+    store, skips them.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if max_len > BASIS_CAP:
         raise CapExceeded(f"max_len {max_len} exceeds the cap {BASIS_CAP}")
-    if done >= max_len:
-        return
-    members: list[Permutation] = []
-    in_inner: set[Permutation] = set()
-    for n in range(1, max_len + 1):
-        found, members, new_inner = basis_elements_of_length(
-            outer, inner, n, members, in_inner, keep_members=n < max_len
-        )
-        in_inner |= new_inner
-        if n > done:
+
+    def passes() -> Iterator[tuple[int, list[Permutation]]]:
+        members, in_inner = set(), set()
+        for n in range(1, max_len + 1):
+            found, members, new_inner = basis_elements_of_length(
+                outer, inner, n, members, in_inner, keep_members=n < max_len
+            )
+            in_inner |= new_inner
             yield n, found
+
+    return passes()
 
 
 def wreath_basis(
@@ -253,7 +250,7 @@ def wreath_basis(
     [Permutation([2, 1])]
     """
     return [
-        _record(p, outer, inner)
+        BasisRecord(p, outer.basis, inner.basis, len(p))
         for _, found in basis_passes(outer, inner, max_len)
         for p in found
     ]

@@ -28,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 from .avoidance import (
@@ -41,6 +41,7 @@ from .avoidance import (
 from .basis_search import (
     ANTICHAIN_POINTS_CAP,
     FAMILIES,
+    BasisRecord,
     antichain_member,
     basis_passes,
     check_antichain,
@@ -165,30 +166,32 @@ def _trim_torn_tail(path: str) -> None:
 
 
 def store_resume(path: str) -> dict[str, int]:
-    """Max completed basis length per job key, from the marker lines."""
+    """Max completed basis length per job key, from the marker lines.
+
+    A marker whose payload is not a string ``job`` and an integer
+    ``length`` is corrupt, and fatal like any other corrupt line.
+    """
     done: dict[str, int] = {}
     if not os.path.exists(path):
         return done
     _trim_torn_tail(path)
-    for _, obj in store_lines(path):
-        if obj["kind"] == "length_complete":
-            payload = obj["payload"]
-            job = payload["job"]
-            done[job] = max(done.get(job, 0), int(payload["length"]))
+    for lineno, obj in store_lines(path):
+        match obj:
+            case {
+                "kind": "length_complete",
+                "payload": {"job": str(job), "length": int(length)},
+            } if not isinstance(length, bool):
+                done[job] = max(done.get(job, 0), length)
+            case {"kind": "length_complete"}:
+                raise StoreError(
+                    f"{path}: line {lineno}: length_complete marker needs "
+                    "a string job and an integer length"
+                )
     return done
 
 
 def _job_key(outer: PermClass, inner: PermClass) -> str:
     return f"{class_literal(outer)}|{class_literal(inner)}"
-
-
-def _basis_payload(pi: Permutation, outer: PermClass, inner: PermClass) -> dict:
-    return {
-        "perm": list(pi),
-        "x_basis": [list(b) for b in outer.basis],
-        "y_basis": [list(b) for b in inner.basis],
-        "length": len(pi),
-    }
 
 
 # --- output helpers -----------------------------------------------------
@@ -543,11 +546,17 @@ def _pin_probe(ns) -> Output:
 def _basis(ns) -> Output:
     outer = parse_class(ns.x)
     inner = parse_class(ns.y)
+    # Refuses a bad --max-len before the store is read, let alone repaired.
+    passes = basis_passes(outer, inner, ns.max_len)
     key = _job_key(outer, inner)
     completed = store_resume(ns.store).get(key, 0) if ns.store else 0
+    if completed >= ns.max_len:
+        return EXIT_OK, [], []
     payloads, lines = [], []
-    for n, found in basis_passes(outer, inner, ns.max_len, done=completed):
-        batch = [_basis_payload(p, outer, inner) for p in found]
+    for n, found in passes:
+        if n <= completed:  # stored already; the pass only rebuilds its layer
+            continue
+        batch = [asdict(BasisRecord(p, outer.basis, inner.basis, n)) for p in found]
         if ns.store:
             # Records and marker go to disk in a single write, so a crash
             # cannot leave a length's records without its marker (which
@@ -580,7 +589,8 @@ def _antichain_gen(ns) -> Output:
     points = family_points(FAMILIES[ns.family], ns.k, upto=ns.upto)
     if points > ANTICHAIN_POINTS_CAP:
         raise CapExceeded(f"{points} points exceed the cap {ANTICHAIN_POINTS_CAP}")
-    ks = range(1, ns.k + 1) if ns.upto else [ns.k]
+    # Member k alone when k < 1, even with --upto, so the build refuses it.
+    ks = range(1, ns.k + 1) if ns.upto and ns.k >= 1 else [ns.k]
     perms = [antichain_member(ns.family, k) for k in ks]
     lines = []
     for p in perms:

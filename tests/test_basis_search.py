@@ -379,6 +379,15 @@ class TestWreathBasis:
         with pytest.raises(ValueError, match="max_len must be at least 1"):
             wreath_basis(av(21), av(21), max_len)
 
+    @pytest.mark.parametrize(
+        "max_len, error", [(11, CapExceeded), (0, ValueError)], ids=["over", "under"]
+    )
+    def test_limits_are_checked_when_the_passes_are_asked_for(self, max_len, error):
+        # Before any pass is iterated, so a caller can be refused before
+        # it touches anything else.
+        with pytest.raises(error):
+            basis_search.basis_passes(av(21), av(21), max_len)
+
     def test_matches_independent_oracle(self):
         # The empty product av(1) wr av(21) has the single point as its
         # basis.
@@ -479,16 +488,22 @@ CHILD_AWARE_IDS = [
 def test_child_aware_pass_matches_frozen_pass(outer, inner, max_len):
     # Driven as basis_passes drives it: the in-inner set passed to length
     # n holds the members in inner of every length below n.
-    members, in_inner = [], set()
+    # The pass returns its members as a set, the frozen pass as a sorted
+    # list; the basis elements are a sorted list in both.
+    members, in_inner = set(), set()
     for n in range(1, max_len + 1):
         got = basis_elements_of_length(outer, inner, n, members, in_inner)
-        assert got == _frozen_length_pass(outer, inner, n, members, in_inner), n
+        found, frozen_members, frozen_inner = _frozen_length_pass(
+            outer, inner, n, members, in_inner
+        )
+        assert got == (found, set(frozen_members), frozen_inner), n
         last = basis_elements_of_length(
             outer, inner, n, members, in_inner, keep_members=False
         )
-        assert last == _frozen_length_pass(
+        found, frozen_members, frozen_inner = _frozen_length_pass(
             outer, inner, n, members, in_inner, keep_members=False
-        ), n
+        )
+        assert last == (found, set(frozen_members), frozen_inner), n
         _, members, new_inner = got
         in_inner = in_inner | new_inner
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import sys
@@ -216,6 +217,36 @@ class TestStore:
         with pytest.raises(StoreError, match="line 2"):
             list(store_lines(path))
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1],
+            {"length": 3},
+            {"job": "av(21)|av(21)"},
+            {"job": "av(21)|av(21)", "length": "x"},
+            {"job": "av(21)|av(21)", "length": "3"},
+            {"job": "av(21)|av(21)", "length": 2.5},
+            {"job": "av(21)|av(21)", "length": None},
+            {"job": ["av(21)|av(21)"], "length": 3},
+        ],
+        ids=[
+            "list payload", "no job", "no length", "length x", "length string",
+            "length float", "length null", "job list",
+        ],
+    )
+    def test_malformed_marker_is_a_store_error(self, tmp_path, payload):
+        path = str(tmp_path / "run.jsonl")
+        store_append(path, [("length_complete", {"job": "x", "length": 1})])
+        store_append(path, [("length_complete", payload)])
+        with pytest.raises(StoreError, match=f"{path}: line 2: length_complete"):
+            store_resume(path)
+        size = os.path.getsize(path)
+        res = run("--store", path, "basis", "--x", "av(21)", "--y", "av(21)",
+                  "--max-len", "3")
+        assert res.exit_code == 2
+        assert res.stdout.startswith(f"store error: {path}: line 2: ")
+        assert os.path.getsize(path) == size
+
     def test_json_records_reverify(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         res = run("--json", "--store", path, "basis", "--x", "av(25134)",
@@ -306,6 +337,41 @@ class TestResume:
         monkeypatch.setattr(basis_search, "basis_elements_of_length", spy)
         run("--store", str(tmp_path / "run.jsonl"), *SCAN, "--max-len", "6")
         assert lengths == [1, 2, 3, 4, 5, 6]
+
+    def test_complete_store_runs_no_pass(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "run.jsonl")
+        run("--store", path, *SCAN, "--max-len", "6")
+        real = basis_search.basis_elements_of_length
+        lengths = []
+
+        def spy(outer, inner, n, *rest, **kwargs):
+            lengths.append(n)
+            return real(outer, inner, n, *rest, **kwargs)
+
+        monkeypatch.setattr(basis_search, "basis_elements_of_length", spy)
+        for max_len in ("6", "4"):
+            assert run("--store", path, *SCAN, "--max-len", max_len).stdout == ""
+        assert lengths == []
+        run("--store", path, *SCAN, "--max-len", "7")
+        assert lengths == [1, 2, 3, 4, 5, 6, 7]
+
+    def test_three_runs_on_one_store_print_and_store_fixed_bytes(self, tmp_path):
+        # A fresh run to 6, a resumed --json run to 8 and a no-op run to
+        # 7: the sha256 of each stdout and of the store bytes are fixed.
+        path = str(tmp_path / "run.jsonl")
+        digests = []
+        for flags, max_len in (((), "6"), (("--json",), "8"), ((), "7")):
+            res = run(*flags, "--store", path, *SCAN, "--max-len", max_len)
+            assert res.exit_code == 0
+            digests.append(hashlib.sha256(res.stdout.encode()).hexdigest())
+        with open(path, "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+        assert digests == [
+            "8e981f05245bb569f4e931534f85ca6df67fca4379e353818c35e182cd2353f2",
+            "abe3b33ca710df634cc6820606bd098c0cda5e5c25d34120ec8bb8a4e9d11b3c",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "750cc734808dfbb8dd3c4ffac9c9a412412434fe32a2335546edff26ac25df63",
+        ]
 
     @pytest.mark.parametrize(
         "x, y",
@@ -440,6 +506,37 @@ class TestCrashSafeStore:
         perms = stored_perms(path)
         assert len(perms) == len(set(perms)) == len(fresh_scan)
         assert store_resume(path) == {"av(25134)|av(321)": 7}
+
+    @pytest.mark.parametrize("stored", [0, 5], ids=["torn line alone", "after 5"])
+    @pytest.mark.parametrize(
+        "max_len, code, message",
+        [("11", 3, "limit: "), ("0", 2, "error: ")],
+        ids=["over cap", "below one"],
+    )
+    def test_refused_run_leaves_a_torn_store_alone(
+        self, tmp_path, capsys, stored, max_len, code, message
+    ):
+        # The length is checked before the store is read, so a refused
+        # run neither repairs nor writes it.
+        path = str(tmp_path / "run.jsonl")
+        if stored:
+            run("--store", path, *SCAN, "--max-len", str(stored))
+        record = _store_line(
+            "basis_record",
+            {"perm": [2, 6, 4, 1, 3, 5], "x_basis": [[2, 5, 1, 3, 4]],
+             "y_basis": [[3, 2, 1]], "length": 6},
+        )
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(record[: len(record) // 2])
+        with open(path, "rb") as fh:
+            before = fh.read()
+        capsys.readouterr()
+
+        res = run("--store", path, *SCAN, "--max-len", max_len)
+        assert res.exit_code == code and res.stdout.startswith(message)
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert "dropped a torn final line" not in capsys.readouterr().err
 
     def test_whole_final_record_without_newline_is_kept(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -1073,6 +1170,24 @@ GOLDEN = [
             "251374986",
         ),
         '{"perms": [[2, 5, 1, 3, 7, 6, 4], [2, 5, 1, 3, 7, 4, 9, 8, 6]]}',
+    ),
+    (
+        ("antichain", "gen", "thm6", "0"),
+        2,
+        "error: family members are indexed from 1",
+        "error: family members are indexed from 1",
+    ),
+    (
+        ("antichain", "gen", "thm6", "0", "--upto"),
+        2,
+        "error: family members are indexed from 1",
+        "error: family members are indexed from 1",
+    ),
+    (
+        ("antichain", "gen", "thm6", "-3", "--upto"),
+        2,
+        "error: family members are indexed from 1",
+        "error: family members are indexed from 1",
     ),
     (
         ("antichain", "gen", "widdershins-2413", "1", "--ascii-plot"),
