@@ -132,13 +132,13 @@ def store_append(path: str, records: list[tuple[str, dict]]) -> None:
 
 def store_lines(path: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) pairs; corrupt lines are fatal."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
             try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
+                obj = json.loads(raw.decode("utf-8"))
+            except ValueError as exc:  # bad UTF-8 or bad JSON
                 raise StoreError(f"{path}: line {lineno}: {exc}") from None
             if not isinstance(obj, dict) or "kind" not in obj or "payload" not in obj:
                 raise StoreError(

@@ -13,7 +13,7 @@ the usual one-line notation.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 #: Default bound on the length of a permutation parsed from text by
 #: :func:`parse_perm` (``--max-perm-len``); computed ones are not capped.
@@ -142,11 +142,6 @@ def reduce(seq: Sequence) -> Permutation:
     return _trusted(rank[v] for v in vals)
 
 
-def points(pi: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """The plot of ``pi``: (position, value) pairs, positions from 1."""
-    return tuple((i, v) for i, v in enumerate(pi, start=1))
-
-
 def delete_point(pi: Sequence[int], pos: int) -> Permutation:
     """Remove the entry at 1-based ``pos`` and renormalise the rest.
 
@@ -181,11 +176,11 @@ def _pattern_table(sigma: tuple) -> tuple[tuple[int, int, int, int, int], ...]:
     # One row (lo, dlo, hi, dhi, role) per index t of sigma.  lo and hi
     # are the earlier indices holding the closest smaller and the closest
     # larger value; k and k + 1 stand in when there is none, as virtual
-    # entries of value 0 and k + 1, so the matchers' chosen lists keep 0
+    # entries of value 0 and k + 1, so the matcher's chosen list keeps 0
     # and n + 1 there.  dlo = sigma[t] - sigma[lo] and dhi = sigma[hi] -
     # sigma[t] are the value gaps an occurrence must leave room for.
     # Consistency with these two bounds implies consistency with all
-    # earlier choices, so the matchers only ever compare two bounds.
+    # earlier choices, so the matcher only ever compares two bounds.
     k = len(sigma)
     value = (*sigma, 0, k + 1)
     lo = [k] * k
@@ -207,6 +202,70 @@ def _pattern_table(sigma: tuple) -> tuple[tuple[int, int, int, int, int], ...]:
         (lo[t], sigma[t] - value[lo[t]], hi[t], value[hi[t]] - sigma[t], role[t])
         for t in range(k)
     )
+
+
+def _matches(sigma: Sequence[int], pi: Sequence[int], limit: int | None) -> int:
+    # The one pattern search, argued in :func:`involves`: the number of
+    # occurrences of sigma in pi, or ``limit`` as soon as the count
+    # reaches it (None: no limit).  Entry t scans the positions of pi
+    # with one iterator and keeps its value window [lo_v, hi_v] and role;
+    # the stack holds the same for each earlier entry, with the count
+    # before its candidate.  A candidate scans for the next entry's first
+    # candidate and descends only if there is one; the last entry's
+    # candidates are counted in that scan, with no slot of their own.
+    host = tuple(pi)
+    k, n = len(sigma), len(host)
+    if k > n:
+        return 0
+    if k < 2:  # the empty pattern occurs once, a point n times
+        return n if k else 1
+    table = _pattern_table(tuple(sigma))
+    chosen = [0] * k + [0, n + 1]
+    penult = k - 2
+    stop = n - k + 1  # entry t takes positions below stop + t
+    stack = []
+    count = t = 0
+    _, dlo, _, dhi, role = table[0]
+    lo_v, hi_v = dlo, n + 1 - dhi
+    it = iter(range(stop))
+    while True:
+        for p in it:
+            v = host[p]
+            if lo_v <= v <= hi_v:
+                before = count
+                while True:
+                    chosen[t] = v
+                    lo, dlo, hi, dhi, next_role = table[t + 1]
+                    a = chosen[lo] + dlo
+                    b = chosen[hi] - dhi
+                    next_it = iter(range(p + 1, stop + t + 1))
+                    for p in next_it:
+                        v = host[p]
+                        if a <= v <= b:
+                            if t < penult:
+                                break
+                            count += 1
+                            if count == limit:
+                                return count
+                    else:
+                        break
+                    stack.append((it, lo_v, hi_v, role, before))
+                    t += 1
+                    it, lo_v, hi_v, role = next_it, a, b, next_role
+                break
+        else:
+            if not t:
+                return count
+            t -= 1
+            it, lo_v, hi_v, role, before = stack.pop()
+        # The candidate chosen[t] is done; dominance acts if it found none.
+        if count == before:
+            if role == _LOWER:
+                hi_v = chosen[t] - 1
+            elif role == _UPPER:
+                lo_v = chosen[t] + 1
+            elif role == _FREE:
+                it = ()  # the search at t gives up
 
 
 def involves(sigma: Sequence[int], pi: Sequence[int]) -> bool:
@@ -243,7 +302,13 @@ def involves(sigma: Sequence[int], pi: Sequence[int]) -> bool:
 
     By induction from the last entry, the search at each entry succeeds
     exactly when some completion of the earlier choices exists, so the
-    verdict is exact.
+    verdict is exact.  The argument reads only the failed candidate, so
+    it holds when counting too: :func:`occurrences` runs the same search
+    to the end, and prunes after each candidate below which it counted
+    no occurrence, since every candidate that one dominates has none
+    either.  The search keeps its own stack, with at most one slot per
+    entry instead of one Python frame, so a pattern of any length
+    matches.
 
     >>> involves(Permutation((1, 3, 2, 4)), Permutation((6, 3, 5, 1, 4, 2, 7)))
     True
@@ -257,80 +322,20 @@ def involves(sigma: Sequence[int], pi: Sequence[int]) -> bool:
     >>> involves(Permutation((2, 1, 3)), Permutation((4, 5, 1, 2, 3)))
     False
     """
-    sig = tuple(sigma)
-    host = tuple(pi)
-    k, n = len(sig), len(host)
-    if k > n:
-        return False
-    table = _pattern_table(sig)
-    chosen = [0] * k + [0, n + 1]
-
-    def go(t: int, start: int) -> bool:
-        if t == k:
-            return True
-        lo, dlo, hi, dhi, role = table[t]
-        lo_v = chosen[lo] + dlo
-        hi_v = chosen[hi] - dhi
-        for p in range(start, n - k + t + 1):
-            v = host[p]
-            if lo_v <= v <= hi_v:
-                chosen[t] = v
-                if go(t + 1, p + 1):
-                    return True
-                if role == _LOWER:
-                    hi_v = v - 1
-                elif role == _UPPER:
-                    lo_v = v + 1
-                elif role == _FREE:
-                    return False
-        return False
-
-    return go(0, 0)
+    return _matches(sigma, pi, 1) > 0
 
 
 def occurrences(sigma: Sequence[int], pi: Sequence[int]) -> int:
     """Exact number of subsequences of ``pi`` order isomorphic to ``sigma``.
+
+    The search of :func:`involves`, run to the end.
 
     >>> occurrences(Permutation((3, 2, 1)), Permutation((2, 5, 1, 3, 7, 6, 4)))
     1
     >>> occurrences(Permutation((1,)), Permutation((3, 1, 2)))
     3
     """
-    return sum(1 for _ in occurrence_positions(sigma, pi))
-
-
-def occurrence_positions(
-    sigma: Sequence[int], pi: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Yield the 1-based position tuples of every occurrence of ``sigma``.
-
-    The search of :func:`involves` with its value-gap windows; it lists
-    every occurrence, so it has no dominance pruning.
-    """
-    sig = tuple(sigma)
-    host = tuple(pi)
-    k, n = len(sig), len(host)
-    if k > n:
-        return
-    table = _pattern_table(sig)
-    chosen = [0] * k + [0, n + 1]
-    positions = [0] * k
-
-    def go(t: int, start: int) -> Iterator[tuple[int, ...]]:
-        if t == k:
-            yield tuple(p + 1 for p in positions)
-            return
-        lo, dlo, hi, dhi, _ = table[t]
-        lo_v = chosen[lo] + dlo
-        hi_v = chosen[hi] - dhi
-        for p in range(start, n - k + t + 1):
-            v = host[p]
-            if lo_v <= v <= hi_v:
-                chosen[t] = v
-                positions[t] = p
-                yield from go(t + 1, p + 1)
-
-    yield from go(0, 0)
+    return _matches(sigma, pi, None)
 
 
 def inflate(pi: Sequence[int], blocks: Sequence[Sequence[int]]) -> Permutation:

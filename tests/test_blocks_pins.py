@@ -27,7 +27,7 @@ from permwreath.blocks_pins import (
     pin_word_to_perm,
     right_reaching,
 )
-from permwreath.perm_core import CapExceeded, _trusted, involves, points, reduce
+from permwreath.perm_core import CapExceeded, _trusted, involves, reduce
 
 from conftest import p, perms_up_to
 
@@ -35,6 +35,11 @@ from conftest import p, perms_up_to
 # properness outcomes.
 MIXED_HOST = p("3,10,1,7,11,4,9,5,6,2,8")
 MIXED_PINS = [(4, 7), (6, 4), (8, 5), (7, 9), (9, 6), (11, 8), (10, 2), (1, 3)]
+
+
+def points(pi):
+    """The plot of ``pi``: (position, value) pairs, positions from 1."""
+    return tuple(enumerate(pi, start=1))
 
 
 def fraction_realize(word):

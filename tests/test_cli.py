@@ -209,13 +209,31 @@ class TestStore:
         assert res.exit_code == 3 and res.stdout.startswith("limit: ")
         assert not path.exists()
 
-    def test_corrupt_line_is_fatal_with_line_number(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line", [b"{oops\n", b"\xff\xfe garbage\n"], ids=["bad json", "not utf-8"]
+    )
+    def test_corrupt_line_is_fatal_with_line_number(self, tmp_path, line):
         path = str(tmp_path / "run.jsonl")
         store_append(path, [("length_complete", {"job": "x", "length": 1})])
-        with open(path, "a") as fh:
-            fh.write("{oops\n")
-        with pytest.raises(StoreError, match="line 2"):
+        with open(path, "ab") as fh:
+            fh.write(line)
+        with pytest.raises(StoreError, match=f"{path}: line 2: "):
             list(store_lines(path))
+        size = os.path.getsize(path)
+        res = run("--store", path, "basis", "--x", "av(21)", "--y", "av(21)",
+                  "--max-len", "3")
+        assert res.exit_code == 2
+        assert res.stdout.startswith(f"store error: {path}: line 2: ")
+        assert os.path.getsize(path) == size
+
+    def test_torn_final_line_not_utf8_is_dropped(self, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        store_append(str(path), [("length_complete", {"job": "x", "length": 1})])
+        intact = path.read_bytes()
+        path.write_bytes(intact + b"\xff\xfe garb")
+        assert store_resume(str(path)) == {"x": 1}
+        assert "dropped a torn final line" in capsys.readouterr().err
+        assert path.read_bytes() == intact
 
     @pytest.mark.parametrize(
         "payload",

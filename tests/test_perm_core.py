@@ -5,7 +5,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from permwreath.basis_search import FAMILIES, antichain_member
+from permwreath.basis_search import FAMILIES, antichain_member, check_antichain
+from permwreath.cli import execute
 from permwreath.perm_core import (
     _BOTH,
     _FREE,
@@ -19,10 +20,8 @@ from permwreath.perm_core import (
     inflate,
     intervals,
     involves,
-    occurrence_positions,
     occurrences,
     parse_perm,
-    points,
     reduce,
 )
 
@@ -288,29 +287,58 @@ class TestOccurrences:
 
     def test_agrees_with_combinations(self):
         # Independent count: try every index subset outright.
-        for sigma, pi in [
+        patterns = list(perms_up_to(4))
+        cases = [
             (p("132"), p("4271635")),
             (p("21"), p("25134")),
             (p("2413"), p("35142687")),
-        ]:
-            expected = sum(
-                1
-                for combo in itertools.combinations(pi, len(sigma))
-                if reduce(combo) == sigma
-            )
-            assert occurrences(sigma, pi) == expected
+            *((sigma, pi) for pi in perms_up_to(7) for sigma in patterns),
+        ]
+        count_of = lru_cache(maxsize=4)(_subset_counts)  # cases come by host
+        for sigma, pi in cases:
+            expected = count_of(pi, len(sigma)).get(sigma, 0)
+            assert occurrences(sigma, pi) == expected, (sigma, pi)
+
+    def test_longer_pattern_and_empty_pattern(self):
+        longer = p("12345")
+        for pi in (p("1"), p("21"), p("2413")):
+            assert not involves(longer, pi)
+            assert occurrences(longer, pi) == 0
+            assert involves((), pi)
+            assert occurrences((), pi) == 1
 
     def test_positive_iff_involved(self):
         for pi in perms_of_length(5):
             for sigma in perms_of_length(3):
                 assert (occurrences(sigma, pi) >= 1) == involves(sigma, pi)
 
-    def test_occurrence_positions_reduce_to_pattern(self):
-        sigma, pi = p("25134"), p("2513764")
-        hits = list(occurrence_positions(sigma, pi))
-        assert hits == [(1, 2, 3, 4, 7)]
-        for positions in hits:
-            assert reduce([pi[q - 1] for q in positions]) == sigma
+
+def _subset_counts(pi, k):
+    # Occurrences of every pattern of length k in pi, one subset at a time.
+    counts = {}
+    for combo in itertools.combinations(pi, k):
+        sigma = reduce(combo)
+        counts[sigma] = counts.get(sigma, 0) + 1
+    return counts
+
+
+class TestDeepPattern:
+    """A 1,205-point pattern: one stack slot per entry, no recursion."""
+
+    B = antichain_member("thm6", 600)
+    C = antichain_member("thm6", 601)
+
+    def test_library(self):
+        assert len(self.B) == 1205
+        assert involves(self.B, self.B)
+        assert not involves(self.B, self.C)
+        assert check_antichain([self.B, self.C])
+        assert occurrences(self.B, self.B) == 1
+
+    def test_cli(self):
+        b = " ".join(map(str, self.B))
+        res = execute(["--max-perm-len", "2000", "involve", b, b])
+        assert (res.exit_code, res.stdout) == (0, "yes")
 
 
 class TestInflate:
@@ -369,9 +397,6 @@ class TestIntervals:
 
 
 class TestPointHelpers:
-    def test_points(self):
-        assert points(p("312")) == ((1, 3), (2, 1), (3, 2))
-
     def test_delete_point(self):
         assert delete_point(p("2513764"), 5) == p("251364")
         with pytest.raises(ValueError):
