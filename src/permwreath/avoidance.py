@@ -15,10 +15,10 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .perm_core import (
-    ONE,
+    LENGTH_CAP,
     CapExceeded,
     Permutation,
     _trusted,
@@ -127,29 +127,45 @@ def member(pi: Sequence[int], cls: PermClass) -> bool:
     return _member(pi, cls)
 
 
+def _children(mu: Sequence[int], cls: PermClass | None) -> Iterator[tuple]:
+    """The one downset grower: each child of ``mu`` with its verdict in ``cls``.
+
+    Yields ``(p, child, verdict)`` for n = len(mu) + 1 inserted at each
+    0-based index p of ``mu``, left to right.  Deleting n from the child
+    (position p + 1) gives ``mu`` back, so the insertion is inverted by
+    deleting the maximum: every length-n permutation is the child of
+    exactly one length-(n-1) permutation, its one parent, at exactly one
+    index.  Growing every child of a layer therefore visits each longer
+    permutation once, and a walk that keeps only the children of members
+    misses no member: a class is closed downward and a child contains its
+    parent, so a child of a non-member is a non-member.
+
+    The verdict is the child's membership in ``cls``, tested once and
+    unmemoised, since each child is a distinct host.  ``None`` stands for
+    a class the caller knows ``mu`` lies outside: then no child is tested
+    and every verdict is False.  ``mu`` may be empty, whose one child is
+    the point.
+    """
+    n = len(mu) + 1
+    for p in range(n):
+        child = [*mu[:p], n, *mu[p:]]
+        yield p, child, cls is not None and _in_class(child, cls)
+
+
 def enumerate_members(cls: PermClass, n: int) -> list[Permutation]:
     """All members of ``cls`` of length ``n``, in lexicographic order.
 
-    Members are grown by inserting the new maximum into shorter members
-    (deleting the maximum of a member always lands back in the class),
-    so only candidates with a fighting chance get the full test.  Each
-    candidate is a distinct permutation tested once, so the test skips
-    the membership memo.
+    The members of each length are the children of the members one
+    shorter that :func:`_children` finds in ``cls``, grown from the
+    empty permutation.
     """
     if n < 1:
         raise ValueError("length must be positive")
     if n > ENUM_CAP:
         raise CapExceeded(f"enumeration length {n} exceeds the cap {ENUM_CAP}")
-    layer = [ONE] if _in_class(ONE, cls) else []
-    for m in range(2, n + 1):
-        grown = []
-        for mu in layer:
-            base = list(mu)
-            for p in range(m):
-                cand = base[:p] + [m] + base[p:]
-                if _in_class(cand, cls):
-                    grown.append(_trusted(cand))
-        layer = grown
+    layer = [()]
+    for _ in range(n):
+        layer = [_trusted(c) for mu in layer for _, c, ok in _children(mu, cls) if ok]
     return sorted(layer)
 
 
@@ -204,8 +220,12 @@ def named(name: str) -> PermClass:
 _LITERAL = re.compile(r"^av\((?P<body>.*)\)$", re.IGNORECASE)
 
 
-def parse_class(text: str) -> PermClass:
+def parse_class(text: str, *, max_len: int = LENGTH_CAP) -> PermClass:
     """Parse a class from a registry name or an ``av(p1,p2,...)`` literal.
+
+    The patterns of a literal are parsed text, so more than ``max_len``
+    ranks in one raise :class:`CapExceeded`, as :func:`parse_perm` does;
+    a registry name is not text to parse and has no cap.
 
     >>> parse_class("av(3412, 2413)") == named("widdershins-y")
     True
@@ -221,7 +241,7 @@ def parse_class(text: str) -> PermClass:
     body = m.group("body").strip()
     if not body:
         return PermClass(())
-    return av(*[tok.strip() for tok in body.split(",")])
+    return av(*[parse_perm(tok, max_len=max_len) for tok in body.split(",")])
 
 
 def class_literal(cls: PermClass) -> str:

@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .avoidance import PermClass, _in_class, member, named
+from .avoidance import PermClass, _children, _in_class, member, named
 from .perm_core import (
     ONE,
     CapExceeded,
@@ -83,7 +83,8 @@ def basis_elements_of_length(
     permutation has exactly one parent, the deletion of its maximum n,
     and a permutation whose parent is a non-member is a non-member that
     is not minimal.  So the candidates are the children of members: n
-    inserted at each position of each member.  A non-member has its
+    inserted at each position of each member, as the one downset grower
+    ``avoidance._children`` makes them.  A non-member has its
     other n-1 deletions looked up in ``parents``, and it is a basis
     element when all of them are there.
 
@@ -124,11 +125,11 @@ def basis_elements_of_length(
         lies in ``outer``.
     (e) In ``inner``.  A child contains its parent and ``inner`` is
         closed downward, so only a child of a parent in ``inner`` can
-        lie in it.  Such a child is tested whole against ``inner``
-        before its greedy pass: when it lies in ``inner`` it is one
-        block, m = 1 blocks as its parent, and a member by (d); when it
-        does not, its greedy pass gets the outside hint like every other
-        child.
+        lie in it.  The grower tests such a child whole against
+        ``inner`` before its greedy pass, and tests no child of a parent
+        outside ``inner``.  A child in ``inner`` is one block, m = 1
+        blocks as its parent, and a member by (d); any other child's
+        greedy pass gets the outside hint.
     (f) Block verdicts from the layers.  When the point lies in the
         product it lies in ``outer``, and every permutation sigma of
         ``inner`` is a member, the inflation 1[sigma].  By induction on
@@ -171,13 +172,11 @@ def basis_elements_of_length(
         m = len(plows)
         starts = [0, *(e + 1 for e in pends[:-1])]
         rejoin = {s + 1: j for j, s in enumerate(starts)}
-        base = list(mu)
         k = 0
-        for p in range(n):
+        for p, child, in_y in _children(mu, None if outside else inner):  # (e)
             if p > pends[k] + 1:
                 k += 1
-            child = base[:p] + [n] + base[p:]
-            if not outside and _in_class(child, inner):  # (e), unmemoised
+            if in_y:
                 if keep_members:
                     pi = _trusted(child)
                     members.add(pi)

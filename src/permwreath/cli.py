@@ -82,6 +82,9 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
+#: Bound on the cells (characters) of the plots one command draws.
+PLOT_CELLS_CAP = 10**6
+
 
 class UsageError(Exception):
     pass
@@ -214,6 +217,22 @@ def ascii_plot(pi: Permutation) -> str:
     for v in range(n, 0, -1):
         rows.append("".join("*" if pi[c] == v else "." for c in range(n)))
     return "\n".join(rows)
+
+
+def _class(ns, text: str) -> PermClass:
+    # A class literal is parsed text, so its patterns obey --max-perm-len.
+    return parse_class(text, max_len=ns.max_perm_len)
+
+
+def _plots(ns, perms: list[Permutation]) -> list[str]:
+    # Plots only for --ascii-plot in text mode; a plot is n^2 characters,
+    # and computed permutations have any length.
+    if not ns.ascii_plot or ns.json:
+        return []
+    cells = sum(len(p) ** 2 for p in perms)
+    if cells > PLOT_CELLS_CAP:
+        raise CapExceeded(f"{cells} plot cells exceed the cap {PLOT_CELLS_CAP}")
+    return [ascii_plot(p) for p in perms]
 
 
 def _json_line(obj) -> str:
@@ -406,8 +425,7 @@ def _reduce(ns) -> Output:
     entries = " ".join(ns.entries).replace(",", " ").split()
     result = reduce([int(e) for e in entries])
     lines = [format_perm(result)]
-    if ns.ascii_plot:
-        lines.append(ascii_plot(result))
+    lines += _plots(ns, [result])
     return EXIT_OK, [{"perm": list(result)}], lines
 
 
@@ -440,18 +458,18 @@ def _decompose(ns) -> Output:
 
 def _member(ns) -> Output:
     pi = parse_perm(ns.pi, max_len=ns.max_perm_len)
-    return _verdict(member(pi, parse_class(ns.cls)), "member", "member", "non-member")
+    return _verdict(member(pi, _class(ns, ns.cls)), "member", "member", "non-member")
 
 
 def _enumerate(ns) -> Output:
-    perms = enumerate_members(parse_class(ns.cls), ns.n)
+    perms = enumerate_members(_class(ns, ns.cls), ns.n)
     obj = {"count": len(perms), "perms": [list(p) for p in perms]}
     return EXIT_OK, [obj], [format_perm(p) for p in perms]
 
 
 def _profile(ns) -> Output:
     pi = parse_perm(ns.pi, max_len=ns.max_perm_len)
-    dec = left_greedy_profile(pi, parse_class(ns.y))
+    dec = left_greedy_profile(pi, _class(ns, ns.y))
     obj = {
         "profile": list(dec.profile),
         "segments": list(dec.segments),
@@ -460,14 +478,13 @@ def _profile(ns) -> Output:
     lines = [format_perm(dec.profile)]
     if ns.blocks:
         lines += _block_lines(dec.segments, dec.block_patterns)
-    if ns.ascii_plot:
-        lines.append(ascii_plot(dec.profile))
+    lines += _plots(ns, [dec.profile])
     return EXIT_OK, [obj], lines
 
 
 def _deflations(ns) -> Output:
     pi = parse_perm(ns.pi, max_len=ns.max_perm_len)
-    defs = sorted(all_deflations(pi, parse_class(ns.y)), key=lambda p: (len(p), p))
+    defs = sorted(all_deflations(pi, _class(ns, ns.y)), key=lambda p: (len(p), p))
     return (
         EXIT_OK,
         [{"deflations": [list(p) for p in defs]}],
@@ -477,7 +494,7 @@ def _deflations(ns) -> Output:
 
 def _wreath_member(ns) -> Output:
     pi = parse_perm(ns.pi, max_len=ns.max_perm_len)
-    flag = wreath_member(pi, parse_class(ns.x), parse_class(ns.y))
+    flag = wreath_member(pi, _class(ns, ns.x), _class(ns, ns.y))
     return _verdict(flag, "member", "member", "non-member")
 
 
@@ -495,8 +512,7 @@ def _minblock(ns) -> Output:
         f"values {lo}..{hi}",
         f"pattern {format_perm(mb.pattern)}",
     ]
-    if ns.ascii_plot:
-        lines.append(ascii_plot(mb.pattern))
+    lines += _plots(ns, [mb.pattern])
     return EXIT_OK, [obj], lines
 
 
@@ -514,8 +530,7 @@ def _pins_word(ns) -> Output:
     word = parse_pin_word(ns.word)
     result = pin_word_to_perm(word)
     lines = [format_perm(result)]
-    if ns.ascii_plot:
-        lines.append(ascii_plot(result))
+    lines += _plots(ns, [result])
     return EXIT_OK, [{"word": str(word), "perm": list(result)}], lines
 
 
@@ -526,7 +541,7 @@ def _pins_reach(ns) -> Output:
 
 
 def _pin_probe(ns) -> Output:
-    result = pin_probe(parse_class(ns.y), ns.pin_cap)
+    result = pin_probe(_class(ns, ns.y), ns.pin_cap)
     obj = {
         "threshold": result.threshold,
         "exceeded": result.exceeded,
@@ -544,8 +559,8 @@ def _pin_probe(ns) -> Output:
 
 
 def _basis(ns) -> Output:
-    outer = parse_class(ns.x)
-    inner = parse_class(ns.y)
+    outer = _class(ns, ns.x)
+    inner = _class(ns, ns.y)
     # Refuses a bad --max-len before the store is read, let alone repaired.
     passes = basis_passes(outer, inner, ns.max_len)
     key = _job_key(outer, inner)
@@ -570,7 +585,7 @@ def _basis(ns) -> Output:
 
 def _verify_basis(ns) -> Output:
     pi = parse_perm(ns.pi, max_len=ns.max_perm_len)
-    res = verify_basis_element(pi, parse_class(ns.x), parse_class(ns.y))
+    res = verify_basis_element(pi, _class(ns, ns.x), _class(ns, ns.y))
     obj = {
         "ok": res.ok,
         "reason": res.reason,
@@ -592,11 +607,9 @@ def _antichain_gen(ns) -> Output:
     # Member k alone when k < 1, even with --upto, so the build refuses it.
     ks = range(1, ns.k + 1) if ns.upto and ns.k >= 1 else [ns.k]
     perms = [antichain_member(ns.family, k) for k in ks]
-    lines = []
-    for p in perms:
-        lines.append(format_perm(p))
-        if ns.ascii_plot:
-            lines.append(ascii_plot(p))
+    lines = [format_perm(p) for p in perms]
+    if plots := _plots(ns, perms):
+        lines = [line for pair in zip(lines, plots) for line in pair]
     return EXIT_OK, [{"perms": [list(p) for p in perms]}], lines
 
 

@@ -181,26 +181,27 @@ def _pattern_table(sigma: tuple) -> tuple[tuple[int, int, int, int, int], ...]:
     # sigma[t] are the value gaps an occurrence must leave room for.
     # Consistency with these two bounds implies consistency with all
     # earlier choices, so the matcher only ever compares two bounds.
+    # One pass from the last index down keeps the values of sigma[:t + 1]
+    # as a doubly linked list between the sentinels 0 and k + 1: the
+    # neighbours of sigma[t] there are its closest earlier values, and
+    # unlinking it leaves the list for t - 1.  So the table takes O(k).
     k = len(sigma)
-    value = (*sigma, 0, k + 1)
-    lo = [k] * k
-    hi = [k + 1] * k
-    for t in range(k):
-        for s in range(t):
-            if sigma[s] < sigma[t]:
-                if sigma[s] > value[lo[t]]:
-                    lo[t] = s
-            elif sigma[s] < value[hi[t]]:
-                hi[t] = s
-    lower = set(lo)
-    upper = set(hi)
-    role = [
-        (_FREE, _LOWER, _UPPER, _BOTH)[(t in lower) + 2 * (t in upper)]
-        for t in range(k)
-    ]
+    index = [k] * (k + 2)
+    index[k + 1] = k + 1
+    for t, v in enumerate(sigma):
+        index[v] = t
+    below, above = list(range(-1, k + 1)), list(range(1, k + 3))
+    bounds = [()] * k
+    for t in range(k - 1, -1, -1):
+        v = sigma[t]
+        a, b = below[v], above[v]
+        bounds[t] = (index[a], v - a, index[b], b - v)
+        above[a], below[b] = b, a
+    lower = {row[0] for row in bounds}
+    upper = {row[2] for row in bounds}
     return tuple(
-        (lo[t], sigma[t] - value[lo[t]], hi[t], value[hi[t]] - sigma[t], role[t])
-        for t in range(k)
+        (*row, (_FREE, _LOWER, _UPPER, _BOTH)[(t in lower) + 2 * (t in upper)])
+        for t, row in enumerate(bounds)
     )
 
 

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+from permwreath import avoidance
 from permwreath.avoidance import (
     REGISTRY,
     BasisNormalizationWarning,
     PermClass,
+    _children,
     av,
     class_literal,
     enumerate_members,
@@ -13,7 +15,7 @@ from permwreath.avoidance import (
     named,
     parse_class,
 )
-from permwreath.perm_core import CapExceeded, delete_point
+from permwreath.perm_core import CapExceeded, delete_point, identity
 
 from conftest import p, perms_of_length, perms_up_to
 
@@ -94,8 +96,8 @@ class TestEnumerate:
                 assert len(enumerate_members(av(basis), n)) == c
 
     def test_matches_filter(self):
-        for cls in (av(321), named("av3412-2413")):
-            for n in range(1, 6):
+        for cls in (av(321), *REGISTRY.values()):
+            for n in range(1, 8):
                 expected = sorted(pi for pi in perms_of_length(n) if member(pi, cls))
                 assert enumerate_members(cls, n) == expected
 
@@ -106,6 +108,33 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_members(av(321), 11)
+
+
+class TestChildren:
+    """The one downset grower: every permutation once, with its verdict."""
+
+    @pytest.mark.parametrize("text", [*sorted(REGISTRY), "av()", "av(1)"])
+    def test_children_of_every_layer(self, text):
+        cls = parse_class(text)
+        layer = [()]
+        for n in range(1, 8):
+            grown = []
+            for mu in layer:
+                for p, child, verdict in _children(mu, cls):
+                    grown.append(tuple(child))
+                    if n > 1:
+                        assert delete_point(child, p + 1) == mu, (mu, p)
+                    assert verdict == member(child, cls), child
+            assert sorted(grown) == list(perms_of_length(n)), n
+            layer = perms_of_length(n)
+
+    def test_a_parent_outside_the_class_has_no_child_tested(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a child was tested")
+
+        monkeypatch.setattr(avoidance, "_in_class", refuse)
+        for mu in [(), *perms_up_to(5)]:
+            assert not any(verdict for _, _, verdict in _children(mu, None))
 
 
 class TestRegistry:
@@ -154,6 +183,16 @@ class TestParseClass:
     def test_literal_round_trip(self):
         for cls in (av(321), av(3412, 2413), av(25143), PermClass(())):
             assert parse_class(class_literal(cls)) == cls
+
+    def test_literal_patterns_obey_the_cap(self):
+        with pytest.raises(CapExceeded):
+            parse_class("av(321, 4321)", max_len=3)
+        long = " ".join(map(str, range(1, 71)))
+        with pytest.raises(CapExceeded):
+            parse_class(f"av({long})")
+        assert parse_class(f"av({long})", max_len=100).basis == (identity(70),)
+        # A registry name is not parsed text, so the cap does not touch it.
+        assert parse_class("av4321-3412", max_len=3) == av(4321, 3412)
 
     def test_long_patterns_round_trip(self):
         cls = av(p("10 1 8 4 6 9 11 7 5 2 3"))

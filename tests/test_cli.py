@@ -693,6 +693,46 @@ class TestLongPermutations:
         res = run("--max-perm-len", "100", *argv)
         assert (res.exit_code, res.stdout) == (0, "basis element")
 
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            (("antichain", "gen", "thm6", "498"), 1001**2),
+            (
+                ("antichain", "gen", "thm6", "100", "--upto"),
+                sum((2 * k + 5) ** 2 for k in range(1, 101)),
+            ),
+            (("reduce", *map(str, range(1001))), 1001**2),
+            (("pins", "word", "12:" + "UR" * 500), 1002**2),
+        ],
+        ids=["member", "upto", "reduce", "pin word"],
+    )
+    @pytest.mark.parametrize("mode", ["text", "json"])
+    def test_plot_over_the_cells_cap(self, monkeypatch, argv, cells, mode):
+        # The cells are counted before any plot is drawn; --json prints
+        # no plot, so it neither draws nor counts one.
+        def refuse(pi):
+            raise AssertionError("a plot was drawn")
+
+        monkeypatch.setattr(cli, "ascii_plot", refuse)
+        if mode == "json":
+            res = run("--json", *argv, "--ascii-plot")
+            assert res.exit_code == 0
+            assert res.stdout == run("--json", *argv).stdout
+            assert json.loads(res.stdout)
+        else:
+            res = run(*argv, "--ascii-plot")
+            assert (res.exit_code, res.stdout) == (
+                3,
+                f"limit: {cells} plot cells exceed the cap 1000000",
+            )
+
+    def test_plot_at_the_cells_cap(self, monkeypatch):
+        # Member 497 of thm6 has 999 points, 998,001 cells, under the cap.
+        drawn = []
+        monkeypatch.setattr(cli, "ascii_plot", lambda pi: drawn.append(len(pi)) or "")
+        assert run("antichain", "gen", "thm6", "497", "--ascii-plot").exit_code == 0
+        assert drawn == [999]
+
     def test_long_pin_word(self):
         # A realised word is computed, not parsed, so no cap applies.
         res = run("pins", "word", "12:" + "UR" * 25_000)
@@ -1267,6 +1307,18 @@ GOLDEN = [
         2,
         "permwreath: the following arguments are required: command",
         "permwreath: the following arguments are required: command",
+    ),
+    (
+        ("--max-perm-len", "100", "member", LONG, f"av({LONG})"),
+        1,
+        "non-member",
+        '{"member": false}',
+    ),
+    (
+        ("--max-perm-len", "3", "member", "12", "av(4321)"),
+        3,
+        "limit: length 4 exceeds the cap 3",
+        "limit: length 4 exceeds the cap 3",
     ),
 ]
 

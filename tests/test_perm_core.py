@@ -194,6 +194,46 @@ def _frozen_involves(sigma, pi):
     return go(0, 0)
 
 
+def _frozen_pattern_table(sigma):
+    """The quadratic pattern table, frozen as the reference: each entry
+    scans every earlier entry for its closest smaller and larger value."""
+    k = len(sigma)
+    value = (*sigma, 0, k + 1)
+    lo = [k] * k
+    hi = [k + 1] * k
+    for t in range(k):
+        for s in range(t):
+            if sigma[s] < sigma[t]:
+                if sigma[s] > value[lo[t]]:
+                    lo[t] = s
+            elif sigma[s] < value[hi[t]]:
+                hi[t] = s
+    lower = set(lo)
+    upper = set(hi)
+    role = [
+        (_FREE, _LOWER, _UPPER, _BOTH)[(t in lower) + 2 * (t in upper)]
+        for t in range(k)
+    ]
+    return tuple(
+        (lo[t], sigma[t] - value[lo[t]], hi[t], value[hi[t]] - sigma[t], role[t])
+        for t in range(k)
+    )
+
+
+class TestPatternTableMatchesFrozen:
+    """The one-pass table agrees with the frozen quadratic one."""
+
+    def test_every_short_pattern(self):
+        for sigma in perms_up_to(7):
+            assert _pattern_table(sigma) == _frozen_pattern_table(sigma), sigma
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_members(self, name):
+        for k in (1, 2, 3, 10, 60):
+            beta = antichain_member(name, k)
+            assert _pattern_table(beta) == _frozen_pattern_table(beta), (name, k)
+
+
 #: One pattern per dominance role, each holding it at an entry before
 #: the last (where a failed candidate can occur).
 ROLE_PATTERNS = {_LOWER: "1342", _UPPER: "4231", _BOTH: "2413", _FREE: "2134"}
