@@ -21,6 +21,7 @@ from .perm_core import (
     LENGTH_CAP,
     CapExceeded,
     Permutation,
+    _matches,
     _trusted,
     format_perm,
     involves,
@@ -102,28 +103,41 @@ def av(*patterns, name: str | None = None) -> PermClass:
     return PermClass(tuple(basis), name=name)
 
 
-def _in_class(pi: Sequence[int], cls: PermClass) -> bool:
+def _in_class(pi: Sequence[int], cls: PermClass, pin: int | None = None) -> bool:
     # The one class test, unmemoised: for a host that is tested once,
-    # a memo entry would only be written and never read.
-    return not any(
-        involves(b, pi) for b in cls.basis if len(b) <= len(pi)
-    )
+    # a memo entry would only be written and never read.  With ``pin``
+    # it looks only for occurrences through that extreme point (see
+    # ``member``).
+    if pin is None:
+        return not any(involves(b, pi) for b in cls.basis if len(b) <= len(pi))
+    return not any(_matches(b, pi, 1, pin) for b in cls.basis if len(b) <= len(pi))
 
 
 _member = lru_cache(maxsize=MEMBER_CACHE_SIZE)(_in_class)
 
 
-def member(pi: Sequence[int], cls: PermClass) -> bool:
+def member(pi: Sequence[int], cls: PermClass, pin: int | None = None) -> bool:
     """True iff ``pi`` avoids every basis element of ``cls``.
 
     Memoised (bounded LRU); the cache is safe under concurrent readers
     and writers.
 
+    ``pin``, a 0-based position, promises that the point there is an
+    extreme of ``pi`` (its first or last position, or its top or bottom
+    value) and that ``pi`` less that point lies in ``cls``.  Then only
+    an occurrence through the point can put ``pi`` outside, and only
+    those are searched (see :func:`~permwreath.perm_core.involves`).
+    Such a call is a child's one test, so it skips the memo.
+
     >>> member(Permutation((2, 5, 1, 3, 7, 6, 4)), av(321))
+    False
+    >>> member(Permutation((2, 5, 1, 3, 7, 6, 4)), av(321), pin=4)
     False
     """
     if not isinstance(pi, Permutation):
         pi = Permutation(pi)
+    if pin is not None:
+        return _in_class(pi, cls, pin)
     return _member(pi, cls)
 
 
@@ -141,15 +155,17 @@ def _children(mu: Sequence[int], cls: PermClass | None) -> Iterator[tuple]:
     parent, so a child of a non-member is a non-member.
 
     The verdict is the child's membership in ``cls``, tested once and
-    unmemoised, since each child is a distinct host.  ``None`` stands for
-    a class the caller knows ``mu`` lies outside: then no child is tested
-    and every verdict is False.  ``mu`` may be empty, whose one child is
-    the point.
+    unmemoised, since each child is a distinct host.  A class that is
+    not None is a promise that ``mu`` lies in it, so the test looks
+    only for occurrences through n, the child's top value (the pinned
+    test of :func:`member`).  ``None`` stands for a class the caller
+    knows ``mu`` lies outside: then no child is tested and every verdict
+    is False.  ``mu`` may be empty, whose one child is the point.
     """
     n = len(mu) + 1
     for p in range(n):
         child = [*mu[:p], n, *mu[p:]]
-        yield p, child, cls is not None and _in_class(child, cls)
+        yield p, child, cls is not None and _in_class(child, cls, p)
 
 
 def enumerate_members(cls: PermClass, n: int) -> list[Permutation]:

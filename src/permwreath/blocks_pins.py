@@ -17,9 +17,13 @@ same pattern, so searching over words covers all of them.
 The kernels read only what can change their answer.  The proper pins
 after a given pin lie in the channel between it and the earlier
 rectangle, so ``_proper_pins`` reads that band of values and of
-positions and no other point.  Reaching sequences are proper by
-construction, so their flags are set, not rechecked.  A pin word is
-realised by one insertion per letter into each axis's rank order.
+positions and no other point, and the band fixes the direction: the
+value band holds only R and L pins and the position band only U and D
+pins, so each takes its furthest pins with one ``max`` and one ``min``.
+Reaching sequences are proper by construction, so their flags are set,
+not rechecked.  A pin word is realised by one insertion per letter into
+each axis's rank order.  The probe's parent word is alive, so a child
+word is tested only for occurrences through its new pin.
 
 The pin probe walks the words depth first, so it holds O(cap) words
 whatever the class, and it lists at most ``PROBE_WITNESSES`` survivors.
@@ -151,16 +155,6 @@ def _slice_direction(q: Point, rect):
     return None
 
 
-def _further(a: Point, b: Point, direction: str) -> bool:
-    if direction == RIGHT:
-        return a[0] > b[0]
-    if direction == LEFT:
-        return a[0] < b[0]
-    if direction == UP:
-        return a[1] > b[1]
-    return a[1] < b[1]
-
-
 def _proper_pins(pi: Sequence[int], pos_of: dict, last: Point, rect, prev) -> dict:
     # The proper next pin in each direction: among the points of ``pi``
     # that slice ``rect``, the rectangle of the pins so far, and separate
@@ -170,18 +164,29 @@ def _proper_pins(pi: Sequence[int], pos_of: dict, last: Point, rect, prev) -> di
     # (wmax, pval) or (pval, wmin), or its position in the band
     # (qmax, ppos) or (ppos, qmin).  So only those values, read through
     # ``pos_of``, and those positions, read through ``pi``, are visited.
-    # The order of the visits does not matter: ``_further`` is strict and
-    # two points differ in both coordinates, so the furthest is unique,
-    # and a point in both bands is merely visited twice.
+    # The band fixes the direction.  A value in the value band lies
+    # strictly inside ``rect``'s values, so its point slices only
+    # horizontally: an R pin when its position is beyond ``rect``'s, an L
+    # pin when before, and the furthest are the band's last and first
+    # positions.  Likewise a point of the position band is a U or D pin by
+    # its value, and the furthest are the band's top and bottom values.
+    # A point in both bands lies inside ``rect`` and passes neither test.
     qmin, qmax, wmin, wmax = prev
     ppos, pval = last
-    band = [(pos_of[v], v) for v in (*range(wmax + 1, pval), *range(pval + 1, wmin))]
-    band += [(p, pi[p - 1]) for p in (*range(qmax + 1, ppos), *range(ppos + 1, qmin))]
+    pmin, pmax, vmin, vmax = rect
     by_dir: dict = {}
-    for q in band:
-        d = _slice_direction(q, rect)
-        if d is not None and (d not in by_dir or _further(q, by_dir[d], d)):
-            by_dir[d] = q
+    positions = [pos_of[v] for v in (*range(wmax + 1, pval), *range(pval + 1, wmin))]
+    if positions:
+        if (p := max(positions)) > pmax:
+            by_dir[RIGHT] = (p, pi[p - 1])
+        if (p := min(positions)) < pmin:
+            by_dir[LEFT] = (p, pi[p - 1])
+    values = pi[qmax : ppos - 1] or pi[ppos : qmin - 1]
+    if values:
+        if (v := max(values)) > vmax:
+            by_dir[UP] = (pos_of[v], v)
+        if (v := min(values)) < vmin:
+            by_dir[DOWN] = (pos_of[v], v)
     return by_dir
 
 
@@ -414,6 +419,19 @@ PROBE_WITNESSES = 64
 _PUSH_ORDER = {"": "DURL", "L": "DU", "R": "DU", "U": "RL", "D": "RL"}
 
 
+def _last_pin(host: Permutation, letter: str) -> int | None:
+    # The host position of the pin that a word's last letter placed: an R
+    # or L pin leaves by the last or first position, a U or D pin by the
+    # top or bottom value.  An origin word has no letter and no pin.
+    if letter == "R":
+        return len(host) - 1
+    if letter == "L":
+        return 0
+    if letter:
+        return host.index(len(host) if letter == "U" else 1)
+    return None
+
+
 @dataclass(frozen=True)
 class PinProbeResult:
     """Outcome of the bounded probe.
@@ -437,9 +455,13 @@ def pin_probe(inner: PermClass, cap: int) -> PinProbeResult:
     A depth-first walk over the pin words from both origins, so it holds
     O(cap) words on its stack.  A branch dies as soon as its realised
     permutation leaves the class (the class is closed downward, so dead
-    branches stay dead).  Each word's children are pushed in reverse
-    letter order, so the words of one length are met in the order a
-    breadth-first search lists them.  The walk stops once
+    branches stay dead).  A word is pushed only when its parent, the
+    word less its last letter, is alive, and deleting the last pin from
+    a word's realisation gives its parent's.  That pin is an extreme of
+    the host, so a child is tested only for occurrences through it (the
+    pinned test of :func:`~permwreath.avoidance.member`).  Each word's
+    children are pushed in reverse letter order, so the words of one
+    length are met in the order a breadth-first search lists them.  The walk stops once
     ``PROBE_WITNESSES`` words of ``cap`` letters are alive, and returns
     them.  Otherwise it returns the threshold, one more than the longest
     live word: the first length at which no word is alive.  A cap above
@@ -456,7 +478,8 @@ def pin_probe(inner: PermClass, cap: int) -> PinProbeResult:
     longest, witnesses, stack = -1, [], [PinWord("21"), PinWord("12")]
     while stack and len(witnesses) < PROBE_WITNESSES:
         word = stack.pop()
-        if not member(pin_word_to_perm(word), inner):
+        host = pin_word_to_perm(word)
+        if not member(host, inner, pin=_last_pin(host, word.letters[-1:])):
             continue
         longest = max(longest, len(word.letters))
         if len(word.letters) == cap:

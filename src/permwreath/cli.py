@@ -29,7 +29,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .avoidance import (
     PermClass,
@@ -224,15 +224,19 @@ def _class(ns, text: str) -> PermClass:
     return parse_class(text, max_len=ns.max_perm_len)
 
 
-def _plots(ns, perms: list[Permutation]) -> list[str]:
+def _plotting(ns, lengths: Iterable[int]) -> bool:
     # Plots only for --ascii-plot in text mode; a plot is n^2 characters,
     # and computed permutations have any length.
     if not ns.ascii_plot or ns.json:
-        return []
-    cells = sum(len(p) ** 2 for p in perms)
+        return False
+    cells = sum(n * n for n in lengths)
     if cells > PLOT_CELLS_CAP:
         raise CapExceeded(f"{cells} plot cells exceed the cap {PLOT_CELLS_CAP}")
-    return [ascii_plot(p) for p in perms]
+    return True
+
+
+def _plots(ns, perms: list[Permutation]) -> list[str]:
+    return [ascii_plot(p) for p in perms] if _plotting(ns, map(len, perms)) else []
 
 
 def _json_line(obj) -> str:
@@ -601,12 +605,16 @@ def _verify_basis(ns) -> Output:
 
 
 def _antichain_gen(ns) -> Output:
-    points = family_points(FAMILIES[ns.family], ns.k, upto=ns.upto)
+    family = FAMILIES[ns.family]
+    points = family_points(family, ns.k, upto=ns.upto)
     if points > ANTICHAIN_POINTS_CAP:
         raise CapExceeded(f"{points} points exceed the cap {ANTICHAIN_POINTS_CAP}")
     # Member k alone when k < 1, even with --upto, so the build refuses it.
     ks = range(1, ns.k + 1) if ns.upto and ns.k >= 1 else [ns.k]
-    perms = [antichain_member(ns.family, k) for k in ks]
+    # Member lengths are affine in k, so the plot cells are counted before
+    # any member is built.
+    _plotting(ns, (family_points(family, k) for k in ks if k >= 1))
+    perms = [antichain_member(family, k) for k in ks]
     lines = [format_perm(p) for p in perms]
     if plots := _plots(ns, perms):
         lines = [line for pair in zip(lines, plots) for line in pair]

@@ -205,22 +205,65 @@ def _pattern_table(sigma: tuple) -> tuple[tuple[int, int, int, int, int], ...]:
     )
 
 
-def _matches(sigma: Sequence[int], pi: Sequence[int], limit: int | None) -> int:
+def _inverse(pi: Sequence[int]) -> tuple:
+    # Positions and values swap roles: the point (p, v) becomes (v, p).
+    inv = [0] * len(pi)
+    for p, v in enumerate(pi, start=1):
+        inv[v - 1] = p
+    return tuple(inv)
+
+
+@lru_cache(maxsize=4096)
+def _turned_table(sigma: tuple, invert: bool, reverse: bool) -> tuple:
+    # The pattern table of sigma inverted, then reversed, as asked.
+    if invert:
+        sigma = _inverse(sigma)
+    return _pattern_table(sigma[::-1] if reverse else sigma)
+
+
+def _pinned_first(sigma: Sequence[int], host: tuple, pin: int) -> tuple[tuple, tuple]:
+    # The pattern table and host of a search through the extreme point at
+    # 0-based position ``pin``, moved to position 0 as argued in
+    # :func:`involves`: a top or bottom value is the last or first
+    # position of the inverse, and the last position the first of the
+    # reverse.
+    n = len(host)
+    invert = 0 < pin < n - 1
+    if invert:
+        v = host[pin]
+        if v != 1 and v != n:
+            raise ValueError(f"position {pin + 1} is not an extreme point of the host")
+        host, pin = _inverse(host), v - 1
+    if pin:
+        host = host[::-1]
+    return _turned_table(tuple(sigma), invert, pin > 0), host
+
+
+def _matches(
+    sigma: Sequence[int], pi: Sequence[int], limit: int | None, pin: int | None = None
+) -> int:
     # The one pattern search, argued in :func:`involves`: the number of
     # occurrences of sigma in pi, or ``limit`` as soon as the count
-    # reaches it (None: no limit).  Entry t scans the positions of pi
-    # with one iterator and keeps its value window [lo_v, hi_v] and role;
-    # the stack holds the same for each earlier entry, with the count
-    # before its candidate.  A candidate scans for the next entry's first
-    # candidate and descends only if there is one; the last entry's
-    # candidates are counted in that scan, with no slot of their own.
+    # reaches it (None: no limit).  With ``pin``, the 0-based position of
+    # an extreme point of pi, only the occurrences through that point
+    # count.  Entry t scans the positions of pi with one iterator and
+    # keeps its value window [lo_v, hi_v] and role; the stack holds the
+    # same for each earlier entry, with the count before its candidate.
+    # A candidate scans for the next entry's first candidate and descends
+    # only if there is one; the last entry's candidates are counted in
+    # that scan, with no slot of their own.
     host = tuple(pi)
     k, n = len(sigma), len(host)
     if k > n:
         return 0
-    if k < 2:  # the empty pattern occurs once, a point n times
-        return n if k else 1
-    table = _pattern_table(tuple(sigma))
+    if k < 2:
+        # The empty pattern occurs once, and never through a pin; a point
+        # occurs n times, and once through a pin.
+        return k if pin is not None else n if k else 1
+    if pin is None:
+        table = _pattern_table(tuple(sigma))
+    else:
+        table, host = _pinned_first(sigma, host, pin)
     chosen = [0] * k + [0, n + 1]
     penult = k - 2
     stop = n - k + 1  # entry t takes positions below stop + t
@@ -228,7 +271,7 @@ def _matches(sigma: Sequence[int], pi: Sequence[int], limit: int | None) -> int:
     count = t = 0
     _, dlo, _, dhi, role = table[0]
     lo_v, hi_v = dlo, n + 1 - dhi
-    it = iter(range(stop))
+    it = iter(range(stop if pin is None else 1))  # a pin takes entry 0
     while True:
         for p in it:
             v = host[p]
@@ -310,6 +353,26 @@ def involves(sigma: Sequence[int], pi: Sequence[int]) -> bool:
     either.  The search keeps its own stack, with at most one slot per
     entry instead of one Python frame, so a pattern of any length
     matches.
+
+    *Pinned search.*  ``_matches`` takes an optional ``pin``, the 0-based
+    position of an extreme point of ``pi``, and then counts only the
+    occurrences through that point.  This is the test of a child whose
+    parent, the child less that point, is known to avoid ``sigma``: only
+    an occurrence through the new point can exist.  The search moves the
+    point to the first position, where it can only play entry 0, and
+    lets entry 0 take position 0 alone.  That is exact: entry 0 has no
+    earlier entry to agree with, its value-gap window only drops values
+    no occurrence can use, and every later entry checks its order
+    against it as before.  Reversal and inversion map the occurrences
+    of ``sigma`` in ``pi`` one to one onto those of the reversed or
+    inverted pattern in the reversed or inverted host, point for point,
+    so the four extremes reduce to the first position:
+
+    * the first position is entry 0 as it stands;
+    * the last position is the first of the reverse;
+    * the bottom value 1 is the first position of the inverse;
+    * the top value n is the last position of the inverse, so the first
+      of its reverse.
 
     >>> involves(Permutation((1, 3, 2, 4)), Permutation((6, 3, 5, 1, 4, 2, 7)))
     True

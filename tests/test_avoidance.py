@@ -120,7 +120,9 @@ class TestChildren:
         for n in range(1, 8):
             grown = []
             for mu in layer:
-                for p, child, verdict in _children(mu, cls):
+                # A class passed to _children promises that mu lies in it.
+                inside = not mu or member(mu, cls)
+                for p, child, verdict in _children(mu, cls if inside else None):
                     grown.append(tuple(child))
                     if n > 1:
                         assert delete_point(child, p + 1) == mu, (mu, p)

@@ -13,10 +13,10 @@ from permwreath.blocks_pins import (
     PinConditionError,
     PinWord,
     _bbox,
-    _further,
     _grow,
     _inside,
     _minimal_span,
+    _proper_pins,
     _slice_direction,
     classify_pins,
     left_reaching,
@@ -109,6 +109,17 @@ def all_pin_words(max_letters):
             ]
 
 
+def _further(a, b, direction):
+    """Is point a further than b in ``direction``?"""
+    if direction == "right":
+        return a[0] > b[0]
+    if direction == "left":
+        return a[0] < b[0]
+    if direction == "up":
+        return a[1] > b[1]
+    return a[1] < b[1]
+
+
 def _separates(q, prev, rect2):
     # Does q lie between prev and rect2, by position or by value?
     pos, val = q
@@ -173,6 +184,22 @@ def _frozen_proper_pins(pts, last, rect, prev):
             d = _slice_direction(q, rect)
             if d is not None and (d not in by_dir or _further(q, by_dir[d], d)):
                 by_dir[d] = q
+    return by_dir
+
+
+def _frozen_channel_pins(pi, pos_of, last, rect, prev):
+    """The channel scan before its band fixed the direction, frozen as a
+    reference: every point of both bands is classified by
+    ``_slice_direction`` and the furthest kept by ``_further``."""
+    qmin, qmax, wmin, wmax = prev
+    ppos, pval = last
+    band = [(pos_of[v], v) for v in (*range(wmax + 1, pval), *range(pval + 1, wmin))]
+    band += [(q, pi[q - 1]) for q in (*range(qmax + 1, ppos), *range(ppos + 1, qmin))]
+    by_dir = {}
+    for q in band:
+        d = _slice_direction(q, rect)
+        if d is not None and (d not in by_dir or _further(q, by_dir[d], d)):
+            by_dir[d] = q
     return by_dir
 
 
@@ -427,6 +454,32 @@ class TestClassifyPins:
         host, pts = drawn
         seq = classify_pins(host, pts)
         assert (seq.directions, seq.proper_flags) == _frozen_classify(host, pts)
+
+
+class TestChannelScanMatchesFrozen:
+    """The band fixes the direction: one max and one min per band give
+    the pins the scan of every band point by ``_slice_direction`` gave."""
+
+    def test_seeded_proper_pin_walks(self):
+        rng = random.Random(1919)
+        calls = 0
+        for _ in range(3000):
+            n = rng.randint(3, 40)
+            host = _trusted(rng.sample(range(1, n + 1), n))
+            pos_of = {v: q for q, v in enumerate(host, start=1)}
+            pins = [(q, host[q - 1]) for q in rng.sample(range(1, n + 1), 2)]
+            prev, rect = _bbox(pins[:1]), _bbox(pins)
+            while True:
+                found = _proper_pins(host, pos_of, pins[-1], rect, prev)
+                frozen = _frozen_channel_pins(host, pos_of, pins[-1], rect, prev)
+                assert found == frozen, (host, pins)
+                calls += 1
+                if not found:
+                    break
+                q = found[rng.choice(sorted(found))]
+                pins.append(q)
+                prev, rect = rect, _grow(rect, q)
+        assert calls > 10000
 
 
 class TestPinWords:

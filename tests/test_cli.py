@@ -726,6 +726,26 @@ class TestLongPermutations:
                 f"limit: {cells} plot cells exceed the cap 1000000",
             )
 
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            (("thm6", "499997"), 999_999**2),
+            (("thm6", "100", "--upto"), sum((2 * k + 5) ** 2 for k in range(1, 101))),
+        ],
+        ids=["member", "upto"],
+    )
+    def test_plot_cells_counted_before_any_member_is_built(self, monkeypatch, argv, cells):
+        # Member lengths are affine in k, so no member is built to count.
+        def refuse(*args):
+            raise AssertionError("a member was built")
+
+        monkeypatch.setattr(cli, "antichain_member", refuse)
+        res = run("antichain", "gen", *argv, "--ascii-plot")
+        assert (res.exit_code, res.stdout) == (
+            3,
+            f"limit: {cells} plot cells exceed the cap 1000000",
+        )
+
     def test_plot_at_the_cells_cap(self, monkeypatch):
         # Member 497 of thm6 has 999 points, 998,001 cells, under the cap.
         drawn = []

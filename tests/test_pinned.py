@@ -1,0 +1,91 @@
+"""The pinned search against the unpinned one.
+
+``_matches(sigma, pi, limit, pin)`` counts only the occurrences through
+the extreme point at 0-based position ``pin``.  When ``pi`` less that
+point avoids ``sigma``, those are all of them, so the pinned verdict must
+be ``involves``.  Every pattern of length at most 5 is checked at every
+extreme point of every host of length at most 6, and of a seeded sample
+of hosts of lengths 7 and 8.
+"""
+
+import random
+from collections import Counter
+from itertools import combinations
+
+import pytest
+
+from permwreath.avoidance import _member, av, member
+from permwreath.perm_core import _matches, _trusted, delete_point, involves, reduce
+
+from conftest import p, perms_up_to
+
+PATTERNS = tuple(perms_up_to(5))
+
+
+def pattern_counts(pi):
+    """Occurrences in ``pi`` of every pattern of length at most 5, by
+    reducing every subsequence."""
+    counts = Counter()
+    for m in range(1, min(len(pi), 5) + 1):
+        for idx in combinations(range(len(pi)), m):
+            counts[reduce([pi[i] for i in idx])] += 1
+    return counts
+
+
+def extremes(pi):
+    """0-based positions of the first, last, top and bottom points."""
+    n = len(pi)
+    return sorted({0, n - 1, pi.index(n), pi.index(1)})
+
+
+def check_host(host, counting=True):
+    """The pinned verdict against ``involves`` wherever the deletion of the
+    pin avoids the pattern; with ``counting``, also the pinned count
+    against the occurrences the pin adds, for every pattern."""
+    counts = pattern_counts(host)
+    checked = 0
+    for pin in extremes(host):
+        less = pattern_counts(delete_point(host, pin + 1))
+        for sigma in PATTERNS:
+            if counting:
+                through = counts[sigma] - less[sigma]
+                assert _matches(sigma, host, None, pin) == through, (sigma, host, pin)
+            if not less[sigma]:
+                pinned = _matches(sigma, host, 1, pin) > 0
+                assert pinned == involves(sigma, host), (sigma, host, pin)
+                checked += 1
+    return checked
+
+
+def test_every_host_up_to_six():
+    # Length 1 has no deletion; its one point is checked by the k < 2 case.
+    # Counts are checked up to length 5, and on the seeded hosts below.
+    checked = sum(
+        check_host(host, counting=len(host) < 6) for host in perms_up_to(6) if len(host) > 1
+    )
+    assert checked > 0
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_seeded_hosts(n):
+    rng = random.Random(1900 + n)
+    for _ in range(60):
+        check_host(_trusted(rng.sample(range(1, n + 1), n)))
+
+
+def test_a_point_through_a_pin():
+    assert _matches(p("1"), p("213"), None, 0) == 1
+    assert _matches(p("1"), p("1"), 1, 0) == 1
+
+
+def test_a_pin_that_is_no_extreme_is_refused():
+    with pytest.raises(ValueError, match="not an extreme point"):
+        _matches(p("12"), p("25314"), 1, 2)
+
+
+def test_a_pinned_member_call_skips_the_memo():
+    before = _member.cache_info()
+    assert not member(p("2513764"), av(321), pin=4)
+    assert member(p("2513647"), av(321), pin=6)
+    after = _member.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
