@@ -141,7 +141,7 @@ def member(pi: Sequence[int], cls: PermClass, pin: int | None = None) -> bool:
     return _member(pi, cls)
 
 
-def _children(mu: Sequence[int], cls: PermClass | None) -> Iterator[tuple]:
+def _children(mu: Sequence[int], cls: PermClass) -> Iterator[tuple]:
     """The one downset grower: each child of ``mu`` with its verdict in ``cls``.
 
     Yields ``(p, child, verdict)`` for n = len(mu) + 1 inserted at each
@@ -155,17 +155,15 @@ def _children(mu: Sequence[int], cls: PermClass | None) -> Iterator[tuple]:
     parent, so a child of a non-member is a non-member.
 
     The verdict is the child's membership in ``cls``, tested once and
-    unmemoised, since each child is a distinct host.  A class that is
-    not None is a promise that ``mu`` lies in it, so the test looks
-    only for occurrences through n, the child's top value (the pinned
-    test of :func:`member`).  ``None`` stands for a class the caller
-    knows ``mu`` lies outside: then no child is tested and every verdict
-    is False.  ``mu`` may be empty, whose one child is the point.
+    unmemoised, since each child is a distinct host.  The caller
+    promises that ``mu`` lies in ``cls``, so the test looks only for
+    occurrences through n, the child's top value (the pinned test of
+    :func:`member`).  ``mu`` may be empty, whose one child is the point.
     """
     n = len(mu) + 1
     for p in range(n):
         child = [*mu[:p], n, *mu[p:]]
-        yield p, child, cls is not None and _in_class(child, cls, p)
+        yield p, child, _in_class(child, cls, p)
 
 
 def enumerate_members(cls: PermClass, n: int) -> list[Permutation]:

@@ -7,10 +7,14 @@ deletion of its maximum is a non-member is itself a non-member and not
 minimal.  The scan therefore never visits all of S_n: it keeps the
 members of each length as one set and builds the length-n candidates
 as their children, by inserting n at every position.  Each parent gets
-one full greedy pass; each child re-derives only the greedy blocks
-around n, and a child with as many blocks as its parent is a member
-without a lookup.  Only a non-member has its other deletions looked up
-in the previous length's members.
+one full greedy pass, and its deflation extends to most of its
+children: n joins the block that holds n - 1, or stands alone as a new
+block, and one pinned row of the downset grower for that block's
+pattern, or for the parent's profile, certifies those children members
+with no pass of their own.  Every other child gets one greedy pass, and
+one with as many blocks as its parent is a member without a lookup.
+Only a non-member has its other deletions looked up in the previous
+length's members.
 
 Next to the members, the scan carries the members that lie in the
 inner class itself, at every length below the one it scans.  Every
@@ -20,9 +24,9 @@ and it answers every block test: the scan makes no memo entry for a
 block.  A child contains its parent and the inner class is closed
 downward, so a child of a parent outside the inner class is outside it
 too: its greedy pass is told so and never tests the whole host.  A child
-of a parent inside the inner class is tested whole, once, and so is a
-child that is its own profile; neither verdict is memoised, since no
-later test repeats a whole host.
+of a parent inside the inner class is tested whole, once, as a bit of
+its parent's row, and so is a child that is its own profile; neither
+verdict is memoised, since no later test repeats a whole host.
 
 The antichain families are parameterised generators of arbitrarily long
 basis elements for specific products, each pairing an outer class with
@@ -65,6 +69,53 @@ class BasisRecord:
     length: int
 
 
+def _row(pattern: Permutation, cls: PermClass, rows: dict) -> int:
+    # Bit q is set when ``pattern``, which lies in ``cls``, still lies in
+    # it with its maximum plus one inserted at index q; memoised in ``rows``.
+    key = pattern, cls
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = sum(1 << q for q, _, ok in _children(pattern, cls) if ok)
+    return row
+
+
+def _certificate(
+    mu: Permutation,
+    ends: list[int],
+    lows: list[int],
+    outer: PermClass,
+    inner: PermClass,
+    inside: bool,
+    rows: dict,
+) -> tuple[int, int]:
+    """The children of the member ``mu`` that its own deflation certifies.
+
+    ``ends`` and ``lows`` are the left-greedy blocks of ``mu``, and
+    ``inside`` says whether ``mu`` lies in ``inner``.  Returns two
+    bitmasks over the index p at which n = len(mu) + 1 is inserted: the
+    children that rules (a) and (b) of :func:`basis_elements_of_length`
+    certify as members, and among them the children that lie in
+    ``inner``.  ``rows`` holds the rows of the pass.
+    """
+    if inside:
+        # T is mu itself, so row (a) is the in-inner test of rule (e);
+        # each parent is read once, so its row is not memoised.
+        in_y = sure = _row(mu, inner, {})
+    else:
+        in_y = 0
+        t = lows.index(max(lows))  # the block T that holds n - 1
+        s = ends[t - 1] + 1 if t else 0
+        top = _trusted([v - lows[t] + 1 for v in mu[s : ends[t] + 1]])
+        sure = _row(top, inner, rows) << s
+    # A parent of singleton blocks is its own profile, the only parent
+    # with that profile, so its row is not memoised either.
+    row = _row(_profile_of(lows, len(mu)), outer, rows if len(lows) < len(mu) else {})
+    for i, p in enumerate((0, *(e + 1 for e in ends))):
+        if row >> i & 1:
+            sure |= 1 << p
+    return sure, in_y
+
+
 def basis_elements_of_length(
     outer: PermClass,
     inner: PermClass,
@@ -83,53 +134,55 @@ def basis_elements_of_length(
     permutation has exactly one parent, the deletion of its maximum n,
     and a permutation whose parent is a non-member is a non-member that
     is not minimal.  So the candidates are the children of members: n
-    inserted at each position of each member, as the one downset grower
-    ``avoidance._children`` makes them.  A non-member has its
-    other n-1 deletions looked up in ``parents``, and it is a basis
+    inserted at each 0-based index p of each member.  A non-member has
+    its other n-1 deletions looked up in ``parents``, and it is a basis
     element when all of them are there.
 
     Each parent mu gets one full greedy pass, the loop of
     ``profile._greedy_blocks``, with the hint that it lies outside
-    ``inner`` when it does: that gives its m blocks, their ends and
-    their lows.  A
-    child pi is mu with n inserted at 0-based index p; let k be the
-    parent block that holds index p - 1, or 0 when p = 0.  The child's
-    values other than n are the parent's, so a block that misses n has
-    the same pattern in both.
+    ``inner`` when it does: that gives its m blocks and its profile P,
+    which lies in ``outer`` since mu is a member.  A child's values
+    other than n are the parent's, so the parent's deflation extends to
+    most children, and any deflation with its profile in ``outer`` and
+    its blocks in ``inner`` makes a member.
 
-    (a) Prefix.  Parent blocks 0..k-1 are the child's first blocks.  A
-        child segment from one of their starts that crosses p holds n;
-        if it were a block, deleting n would leave a parent interval in
-        ``inner`` (closed downward) that reaches index p - 1, past the
-        end of that parent block, which the greedy made longest.
-    (b) Local re-run.  The same greedy loop runs on the child from the
-        start of block k.  When that start is 0 the child is known to
-        lie outside ``inner`` (by (e)), so the first block keeps the
-        stop short of the whole host.
-    (c) Rejoin.  Once the re-run reaches a start s > p where s - 1 is
-        the start of parent block j, the rest of the child is the rest
-        of the parent moved one place right: the greedy from s reads
-        only positions after n, so the remaining blocks are parent
-        blocks j.. shifted by one, with the same lows.
+    (a) Top block.  Let T be the parent block that holds n - 1, at
+        indices s..e.  When p is in s..e+1, T with n inserted is an
+        interval of the child; when its pattern lies in ``inner``, the
+        child is P inflated by the parent's blocks with T replaced, a
+        member.
+    (b) New block.  When p is the start of parent block i, or n - 1
+        with i = m, n is a block alone; when P with m + 1 inserted at
+        index i lies in ``outer``, the child is a member.
+    (c) Rows.  Both verdicts are bits of one row of the downset grower
+        ``avoidance._children``: T's pattern in ``inner`` for (a) and P
+        in ``outer`` for (b).  T lies in ``inner`` and P in ``outer``,
+        so each child is a pinned test.  Each row is memoised as a
+        bitmask for the pass, keyed by pattern and class, except the two
+        that only one parent reads: row (a) of a parent in ``inner``,
+        which is the parent itself (see (e)), and row (b) of a parent of
+        singleton blocks, which is its own profile.  The helper
+        ``_certificate`` reads both rows.
 
     The child's block count is never below m: deleting n from its
     shortest deflation leaves one of the parent's with as many blocks,
     or one fewer when n is a block alone.
 
-    (d) Same count.  A child with exactly m blocks is a member, with no
-        profile and no lookup.  n is not a block alone, or deleting it
-        would leave a parent deflation of m - 1 blocks.  So deleting n
-        from its block leaves a parent deflation into m blocks from
-        ``inner`` with the child's profile.  The shortest profile is
-        unique, so that is the profile of the parent, a member, and it
-        lies in ``outer``.
+    (d) Same count.  Every child that (a) and (b) leave gets one full
+        greedy pass with the outside hint, and one with exactly m blocks
+        is a member, with no profile and no lookup.  n is not a block
+        alone, or deleting it would leave a parent deflation of m - 1
+        blocks.  So deleting n from its block leaves a parent deflation
+        into m blocks from ``inner`` with the child's profile.  The
+        shortest profile is unique, so that is the profile of the
+        parent, a member, and it lies in ``outer``.
     (e) In ``inner``.  A child contains its parent and ``inner`` is
         closed downward, so only a child of a parent in ``inner`` can
-        lie in it.  The grower tests such a child whole against
-        ``inner`` before its greedy pass, and tests no child of a parent
-        outside ``inner``.  A child in ``inner`` is one block, m = 1
-        blocks as its parent, and a member by (d); any other child's
-        greedy pass gets the outside hint.
+        lie in it.  Such a parent is one block, T is the parent itself,
+        and row (a) is the pinned test of each child whole against
+        ``inner``; no child of a parent outside ``inner`` is tested.  A
+        child in ``inner`` is a member by (a); any other child's greedy
+        pass gets the outside hint.
     (f) Block verdicts from the layers.  When the point lies in the
         product it lies in ``outer``, and every permutation sigma of
         ``inner`` is a member, the inflation 1[sigma].  By induction on
@@ -145,17 +198,16 @@ def basis_elements_of_length(
         singleton blocks is its own profile.  When the point is not in
         the product, no pass has parents and nothing is tested.
 
-    Any other child splices its lows from the parent's prefix, the
-    re-run and the parent's tail, and its profile, shorter than n, is
-    looked up in ``outer``'s memo.
+    Any other child's profile, shorter than n, is looked up in
+    ``outer``'s memo.
 
     Returns the basis elements of length n in lexicographic order, the
     set of length-n members (the next pass's ``parents``) and the
     set of those members that lie in ``inner``, which the caller adds to
     the next pass's ``prev_inner``; both sets are empty when
-    ``keep_members`` is false, for the last length of a scan.  Only the
-    basis elements are sorted: the order in which a pass visits its
-    parents changes no verdict.
+    ``keep_members`` is false, for the last length of a scan, and then
+    no certified child is built.  Only the basis elements are sorted:
+    the order in which a pass visits its parents changes no verdict.
     """
     if n == 1:
         # The point is a member only when blocks exist, i.e. it lies in inner.
@@ -166,38 +218,34 @@ def basis_elements_of_length(
     members: set[Permutation] = set()
     in_inner: set[Permutation] = set()
     found: list[Permutation] = []
+    rows: dict[tuple[Permutation, PermClass], int] = {}
     for mu in parents:
-        outside = mu not in prev_inner
-        pends, plows = _greedy_blocks(mu, inner, outside, in_inner=is_block)
-        m = len(plows)
-        starts = [0, *(e + 1 for e in pends[:-1])]
-        rejoin = {s + 1: j for j, s in enumerate(starts)}
-        k = 0
-        for p, child, in_y in _children(mu, None if outside else inner):  # (e)
-            if p > pends[k] + 1:
-                k += 1
-            if in_y:
+        inside = mu in prev_inner
+        ends, lows = _greedy_blocks(mu, inner, not inside, in_inner=is_block)
+        m = len(lows)
+        sure, in_y = _certificate(mu, ends, lows, outer, inner, inside, rows)
+        for p in range(n):
+            if sure >> p & 1:  # (a), (b)
                 if keep_members:
-                    pi = _trusted(child)
+                    pi = _trusted(mu[:p] + (n,) + mu[p:])
                     members.add(pi)
-                    in_inner.add(pi)
+                    if in_y >> p & 1:
+                        in_inner.add(pi)
                 continue
-            ends, lows = _greedy_blocks(
-                child, inner, True, starts[k], rejoin, p, in_inner=is_block
-            )
-            j = rejoin.get(ends[-1] + 1, m)
-            count = k + len(lows) + m - j
+            child = _trusted(mu[:p] + (n,) + mu[p:])
+            _, lows = _greedy_blocks(child, inner, True, in_inner=is_block)
+            count = len(lows)
             if count == m or (
                 _in_class(child, outer)
                 if count == n
-                else member(_profile_of(plows[:k] + lows + plows[j:], n), outer)
+                else member(_profile_of(lows, n), outer)
             ):
                 if keep_members:
-                    members.add(_trusted(child))
+                    members.add(child)
             elif all(
                 delete_point(child, q) in parents for q in range(1, n + 1) if q != p + 1
             ):
-                found.append(_trusted(child))
+                found.append(child)
     found.sort()
     return found, members, in_inner
 

@@ -17,7 +17,7 @@ carrying consecutive values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Sequence
+from typing import Callable, Sequence
 
 from .avoidance import PermClass, member
 from .perm_core import (
@@ -51,9 +51,6 @@ def _greedy_blocks(
     pi: Sequence[int],
     inner: PermClass,
     outside_inner: bool,
-    start: int = 0,
-    rejoin: Container[int] = (),
-    inserted: int = -1,
     in_inner: Callable[[Permutation], bool] | None = None,
 ) -> tuple[list[int], list[int]]:
     """The left-greedy blocks of ``pi``: their 0-based last positions and lows.
@@ -91,24 +88,14 @@ def _greedy_blocks(
     outside ``inner``.  The whole host is the last segment the first
     block could test, and that test would fail, so the first block
     stops one position short of the end and never runs it.  The blocks
-    are the same; a false promise gives a wrong answer.  A pass from a
-    later ``start`` never reaches the whole host, so the hint does not
-    apply there.
-
-    The basis scan re-runs this same loop on a child, ``pi`` with its
-    maximum at index ``inserted``, from the start of a parent block
-    (see :func:`~permwreath.basis_search.basis_elements_of_length`).
-    It returns only the blocks from ``start``, and it stops at the first
-    start past ``inserted`` that is in ``rejoin``, the parent's block
-    starts moved one place right: from there on the child's blocks are
-    the parent's, shifted.  The full pass has no rejoin starts.
+    are the same; a false promise gives a wrong answer.
     """
     n = len(pi)
     shortest = inner._shortest
     ends: list[int] = []
     lows: list[int] = []
-    s = start
-    stop = n - 1 if outside_inner and not start else n
+    s = 0
+    stop = n - 1 if outside_inner else n
     while s < n:
         lo = hi = low = pi[s]
         end = s
@@ -134,8 +121,6 @@ def _greedy_blocks(
         lows.append(low)
         s = end + 1
         stop = n  # only the first block could have been the whole host
-        if s > inserted and s in rejoin:
-            break
     return ends, lows
 
 

@@ -545,6 +545,48 @@ def test_carried_set_is_the_inner_class_below_the_scanned_length(
         assert greedy_calls == []
 
 
+@pytest.mark.parametrize("outer, inner, max_len", CHILD_AWARE_PAIRS, ids=CHILD_AWARE_IDS)
+def test_certified_children_are_members(outer, inner, max_len):
+    # Rules (a) and (b): every child the parent's deflation certifies is
+    # a member, and for a parent in inner the (a) bit is the child's
+    # membership in inner, the in-inner test of rule (e).
+    members, in_inner = set(), set()
+    for n in range(1, min(max_len, 7) + 1):
+        rows = {}
+        for mu in members:
+            inside = mu in in_inner
+            ends, lows = profile._greedy_blocks(mu, inner, not inside)
+            sure, in_y = basis_search._certificate(
+                mu, ends, lows, outer, inner, inside, rows
+            )
+            assert sure < 1 << n and in_y & ~sure == 0, mu
+            for p in range(n):
+                child = _trusted(mu[:p] + (n,) + mu[p:])
+                if sure >> p & 1:
+                    assert wreath_member(child, outer, inner), child
+                assert in_y >> p & 1 == (inside and member(child, inner)), child
+        _, members, new_inner = basis_elements_of_length(
+            outer, inner, n, members, in_inner
+        )
+        in_inner = in_inner | new_inner
+
+
+def test_most_children_get_no_greedy_pass(monkeypatch):
+    # One greedy pass per parent, and one per child that its parent's
+    # deflation does not certify (rules (a) and (b)): 18,725 in all, of
+    # which 11,319 are children of length 8.
+    calls = [0]
+    real_greedy = basis_search._greedy_blocks
+
+    def spy_greedy(*args, **kw):
+        calls[0] += 1
+        return real_greedy(*args, **kw)
+
+    monkeypatch.setattr(basis_search, "_greedy_blocks", spy_greedy)
+    assert len(wreath_basis(av(25134), av(321), 8)) == 48
+    assert calls[0] <= 20_000
+
+
 def test_scan_memoises_no_inner_test_and_no_whole_host(monkeypatch):
     # The memo policy of the scan, read from its lookups: blocks are
     # answered from the carried set and whole hosts are tested unmemoised,

@@ -16,6 +16,7 @@ from permwreath.perm_core import (
 from permwreath.profile import (
     ProfileDecomposition,
     _greedy_blocks,
+    _profile_of,
     all_deflations,
     is_valid_deflation,
     left_greedy_profile,
@@ -218,7 +219,7 @@ class TestWreathMember:
 #: Inner classes of the pairs the basis scan is checked on, and the
 #: families' inner classes (av(321) among them); av(12,21) holds only
 #: the point, and av(1) not even that, so all their blocks are points.
-RESUMED_INNERS = [
+SCAN_INNERS = [
     av(231),
     av(21),
     av(2413, 3142),
@@ -240,26 +241,20 @@ class TestGreedyBlocksKernel:
         if not member(pi, inner):
             assert _greedy_blocks(pi, inner, True) == _greedy_blocks(pi, inner, False)
 
-    @pytest.mark.parametrize("inner", RESUMED_INNERS, ids=class_literal)
-    def test_resumed_greedy_equals_the_full_pass(self, inner):
-        # The parent's blocks before the one holding index p - 1, the
-        # re-run from that block's start, and the parent's blocks from
-        # the rejoin on, moved one place right, are the child's blocks.
+    @pytest.mark.parametrize("inner", SCAN_INNERS, ids=class_literal)
+    def test_a_child_keeps_its_parents_profile_or_gains_blocks(self, inner):
+        # Rule (d) of the basis scan: inserting the new maximum never
+        # shortens the greedy deflation, and a child with as many blocks
+        # as its parent has the parent's profile.
         for mu in perms_up_to(6):
             n = len(mu) + 1
-            outside = not member(mu, inner)
-            pends, plows = _greedy_blocks(mu, inner, outside)
-            starts = [0, *(e + 1 for e in pends[:-1])]
-            rejoin = {s + 1: j for j, s in enumerate(starts)}
+            _, plows = _greedy_blocks(mu, inner, False)
             for at in range(n):
-                k = next(b for b, e in enumerate(pends) if e >= at - 1)
-                child = list(mu[:at]) + [n] + list(mu[at:])
-                ends, lows = _greedy_blocks(child, inner, outside, starts[k], rejoin, at)
-                j = rejoin.get(ends[-1] + 1, len(plows))
-                assert (
-                    pends[:k] + ends + [e + 1 for e in pends[j:]],
-                    plows[:k] + lows + plows[j:],
-                ) == _greedy_blocks(child, inner, False), (mu, at)
+                child = mu[:at] + (n,) + mu[at:]
+                _, lows = _greedy_blocks(child, inner, False)
+                assert len(lows) >= len(plows), (mu, at)
+                if len(lows) == len(plows):
+                    assert _profile_of(lows, n) == _profile_of(plows, n - 1), (mu, at)
 
 
 class TestAllDeflations:
