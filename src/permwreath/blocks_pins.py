@@ -16,14 +16,14 @@ same pattern, so searching over words covers all of them.
 
 The kernels read only what can change their answer.  The proper pins
 after a given pin lie in the channel between it and the earlier
-rectangle, so ``_proper_pins`` reads that band of values and of
-positions and no other point, and the band fixes the direction: the
-value band holds only R and L pins and the position band only U and D
-pins, so each takes its furthest pins with one ``max`` and one ``min``.
-Reaching sequences are proper by construction, so their flags are set,
-not rechecked.  A pin word is realised by one insertion per letter into
-each axis's rank order.  The probe's parent word is alive, so a child
-word is tested only for occurrences through its new pin.
+rectangle, so ``_proper_pins`` reads only that band: slices of the
+host's values and of its positions by value.  The band fixes the
+direction: the value band holds R and L pins, the position band U and
+D pins, so a ``max`` and a ``min`` find the furthest.  Reaching
+sequences are proper by construction (flags set, not rechecked) and
+searched as linked paths.  A pin word is realised by one insertion per
+letter into each axis's rank order.  The probe's parent word is alive,
+so a child word is tested only for occurrences through its new pin.
 
 The pin probe walks the words depth first, so it holds O(cap) words
 whatever the class, and it lists at most ``PROBE_WITNESSES`` survivors.
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .avoidance import PermClass, member
-from .perm_core import CapExceeded, Permutation, _trusted, reduce
+from .perm_core import CapExceeded, Permutation, _inverse, _trusted, reduce
 
 LEFT = "left"
 RIGHT = "right"
@@ -73,11 +73,16 @@ class MinimalBlock:
         return tuple(self.host[s - 1 : e])
 
 
-def _minimal_span(pi: Sequence[int], pos_of: dict, i: int, j: int) -> tuple[int, int]:
+def _minimal_span(
+    pi: Sequence[int], pos_of: Sequence, i: int, j: int
+) -> tuple[int, int]:
     # Closure expansion over a work list: the positions lo..hi and the
     # values vlo..vhi read so far widen to cover what the other range
     # needs, plo..phi and wlo..whi, until neither needs more.  Each
-    # position and each value is read once, when it is first covered.
+    # position and each value is read once, when it is first covered:
+    # the new positions as slices of ``pi``, the new values as slices of
+    # ``pos_of``, the value-indexed positions (``pos_of[v]`` is the
+    # position of v, and index 0 is unused).
     lo = hi = i
     vlo = vhi = pi[i - 1]
     plo, phi, wlo, whi = i, j, vlo, vhi
@@ -88,8 +93,7 @@ def _minimal_span(pi: Sequence[int], pos_of: dict, i: int, j: int) -> tuple[int,
             elif v > whi:
                 whi = v
         lo, hi = plo, phi
-        for v in (*range(wlo, vlo), *range(vhi + 1, whi + 1)):
-            q = pos_of[v]
+        for q in pos_of[wlo:vlo] + pos_of[vhi + 1 : whi + 1]:
             if q < plo:
                 plo = q
             elif q > phi:
@@ -109,7 +113,7 @@ def minimal_block(pi: Sequence[int], i: int, j: int) -> MinimalBlock:
     n = len(pi)
     if not 1 <= i < j <= n:
         raise ValueError(f"need positions 1 <= i < j <= {n}, got i={i}, j={j}")
-    s, e = _minimal_span(pi, {v: p for p, v in enumerate(pi, start=1)}, i, j)
+    s, e = _minimal_span(pi, (0, *_inverse(pi)), i, j)
     seg = pi[s - 1 : e]
     return MinimalBlock(pi, (s, e), (min(seg), max(seg)), reduce(seg))
 
@@ -125,11 +129,19 @@ def _bbox(pts: Sequence[Point]) -> tuple:
     return min(xs), max(xs), min(ys), max(ys)
 
 
-def _grow(rect, q: Point) -> tuple:
-    # The rectangle of rect's points and q: pins only ever enlarge it.
+def _moved(rect, q: Point, d: str) -> tuple:
+    # The rectangle of rect's points and q, a pin slicing rect in
+    # direction d.  An R or L pin lies strictly inside rect's values, so
+    # it moves only pmax or pmin; a U or D pin lies strictly inside its
+    # positions, so it moves only vmax or vmin.
     pmin, pmax, vmin, vmax = rect
-    pos, val = q
-    return min(pmin, pos), max(pmax, pos), min(vmin, val), max(vmax, val)
+    if d == RIGHT:
+        return pmin, q[0], vmin, vmax
+    if d == LEFT:
+        return q[0], pmax, vmin, vmax
+    if d == UP:
+        return pmin, pmax, vmin, q[1]
+    return pmin, pmax, q[1], vmax
 
 
 def _inside(q: Point, rect) -> bool:
@@ -155,15 +167,17 @@ def _slice_direction(q: Point, rect):
     return None
 
 
-def _proper_pins(pi: Sequence[int], pos_of: dict, last: Point, rect, prev) -> dict:
+def _proper_pins(pi: Sequence[int], pos_of: Sequence, last: Point, rect, prev) -> dict:
     # The proper next pin in each direction: among the points of ``pi``
     # that slice ``rect``, the rectangle of the pins so far, and separate
     # the ``last`` pin from ``prev``, the rectangle of the earlier ones,
     # the furthest in its direction.  A point separates them exactly when
     # it lies in the channel between them: its value in the band
     # (wmax, pval) or (pval, wmin), or its position in the band
-    # (qmax, ppos) or (ppos, qmin).  So only those values, read through
-    # ``pos_of``, and those positions, read through ``pi``, are visited.
+    # (qmax, ppos) or (ppos, qmin).  At most one band of each kind is
+    # non-empty, so each is read as one slice: the positions of the value
+    # band from ``pos_of``, the value-indexed positions, and the values of
+    # the position band from ``pi``.  No other point is visited.
     # The band fixes the direction.  A value in the value band lies
     # strictly inside ``rect``'s values, so its point slices only
     # horizontally: an R pin when its position is beyond ``rect``'s, an L
@@ -175,7 +189,7 @@ def _proper_pins(pi: Sequence[int], pos_of: dict, last: Point, rect, prev) -> di
     ppos, pval = last
     pmin, pmax, vmin, vmax = rect
     by_dir: dict = {}
-    positions = [pos_of[v] for v in (*range(wmax + 1, pval), *range(pval + 1, wmin))]
+    positions = pos_of[wmax + 1 : pval] or pos_of[pval + 1 : wmin]
     if positions:
         if (p := max(positions)) > pmax:
             by_dir[RIGHT] = (p, pi[p - 1])
@@ -226,7 +240,7 @@ def classify_pins(host: Sequence[int], pin_points: Iterable) -> PinSequence:
     if len(set(pts)) != len(pts):
         raise ValueError("pin points must be distinct")
 
-    pos_of = {v: p for p, v in enumerate(host, start=1)}
+    pos_of = (0, *_inverse(host))
     directions: list = [None, None]
     proper: list = [None, None]
     prev, rect = _bbox(pts[:1]), _bbox(pts[:2])
@@ -243,7 +257,7 @@ def classify_pins(host: Sequence[int], pin_points: Iterable) -> PinSequence:
             )
         directions.append(d)
         proper.append(_proper_pins(host, pos_of, pts[idx - 1], rect, prev).get(d) == p)
-        prev, rect = rect, _grow(rect, p)
+        prev, rect = rect, _moved(rect, p, d)
     return PinSequence(host, pts, tuple(directions), tuple(proper))
 
 
@@ -337,26 +351,34 @@ def pin_word_to_perm(word: PinWord) -> Permutation:
 
 # --- reaching sequences -----------------------------------------------
 
-def _dfs_reaching(pi: Sequence[int], pos_of: dict, p1, p2, target):
+def _dfs_reaching(pi: Sequence[int], pos_of: Sequence, p1, p2, target):
     # Depth-first over proper pins, trying R, U, L, D in that order (so
     # they are pushed in reverse).  A proper reaching sequence always
     # exists (Brignall, Huczynska and Vatter), so the search only has to
-    # find one.  Each entry carries its pins, their directions (the keys
-    # under which ``_proper_pins`` returned them), the rectangle of its
-    # pins and that of all but the last.  A target among the starting
-    # points is reached by them alone.
+    # find one.  Each entry carries a node (pin, direction, parent) of a
+    # linked path, whose direction is the key under which ``_proper_pins``
+    # returned the pin, the rectangle of the path's pins, which that
+    # direction grows by one edge (``_moved``), and that of all but the
+    # last.  A push copies no list: the path is read off the nodes once,
+    # at the target.  A target among the starting points is reached by
+    # them alone.
     if target in (p1, p2):
         return [p1, p2], [None, None]
-    stack = [([p1, p2], [None, None], _bbox([p1, p2]), _bbox([p1]))]
+    stack = [((p2, None, (p1, None, None)), _bbox([p1, p2]), _bbox([p1]))]
     while stack:
-        pins, dirs, rect, prev = stack.pop()
-        if pins[-1] == target:
-            return pins, dirs
-        cands = _proper_pins(pi, pos_of, pins[-1], rect, prev)
+        node, rect, prev = stack.pop()
+        if node[0] == target:
+            pins, dirs = [], []
+            while node:
+                q, d, node = node
+                pins.append(q)
+                dirs.append(d)
+            return pins[::-1], dirs[::-1]
+        cands = _proper_pins(pi, pos_of, node[0], rect, prev)
         for d in (DOWN, LEFT, UP, RIGHT):
             if d in cands:
                 q = cands[d]
-                stack.append((pins + [q], dirs + [d], _grow(rect, q), rect))
+                stack.append(((q, d, node), _moved(rect, q, d), rect))
     return None
 
 
@@ -379,7 +401,7 @@ def _reaching(pi: Sequence[int], i: int, j: int, side: str) -> PinSequence:
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
     if not 1 <= i < j <= len(pi):
         raise ValueError(f"need 1 <= i < j <= {len(pi)}, got i={i}, j={j}")
-    pos_of = {v: p for p, v in enumerate(pi, start=1)}
+    pos_of = (0, *_inverse(pi))
     s, e = _minimal_span(pi, pos_of, i, j)
     p1 = (i, pi[i - 1])
     p2 = (j, pi[j - 1])

@@ -24,6 +24,15 @@ def p(text: str) -> Permutation:
     return parse_perm(text)
 
 
+def value_positions(pi) -> list[int]:
+    """The value-indexed positions the pin kernels read: ``pos_of[v]`` is
+    the position of v in ``pi``, and index 0 is unused."""
+    pos_of = [0] * (len(pi) + 1)
+    for q, v in enumerate(pi, start=1):
+        pos_of[v] = q
+    return pos_of
+
+
 @pytest.fixture
 def mk():
     return p

@@ -27,7 +27,7 @@ from permwreath.decomposition import INDECOMPOSABLE_BOTH, sum_skew_status
 from permwreath.perm_core import Permutation, inflate, intervals, occurrences, reduce
 from permwreath.profile import all_deflations, left_greedy_profile, wreath_member
 
-from conftest import p, perms_up_to
+from conftest import p, perms_up_to, value_positions
 
 PAIRS = (
     (av(21), av(21)),
@@ -169,7 +169,7 @@ def test_criterion_6_structural_suites():
         n = len(pi)
         if n < 2:
             continue
-        pos_of = {v: q for q, v in enumerate(pi, start=1)}
+        pos_of = value_positions(pi)
         spans = {
             (i, j): _minimal_span(pi, pos_of, i, j)
             for i in range(1, n)

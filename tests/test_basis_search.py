@@ -429,8 +429,8 @@ class TestWreathBasis:
 
 
 def _frozen_length_pass(outer, inner, n, prev_members, prev_inner, *, keep_members=True):
-    """One length pass as it stood before children re-derived only the
-    blocks around n, frozen as the reference: every child gets a full
+    """One length pass as it stood before children inherited their
+    parent's deflation, frozen as the reference: every child gets a full
     ``wreath_member`` test, and a child of a parent in ``inner`` is
     looked up in ``inner``.  The outside-``inner`` hint it passed never
     changed a verdict, so it is left out here."""

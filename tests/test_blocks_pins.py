@@ -13,7 +13,6 @@ from permwreath.blocks_pins import (
     PinConditionError,
     PinWord,
     _bbox,
-    _grow,
     _inside,
     _minimal_span,
     _proper_pins,
@@ -27,9 +26,9 @@ from permwreath.blocks_pins import (
     pin_word_to_perm,
     right_reaching,
 )
-from permwreath.perm_core import CapExceeded, _trusted, involves, reduce
+from permwreath.perm_core import CapExceeded, _trusted, inflate, involves, reduce
 
-from conftest import p, perms_up_to
+from conftest import p, perms_up_to, value_positions
 
 # An 11-point host whose pins pick up every direction and both
 # properness outcomes.
@@ -162,6 +161,16 @@ def loop_proper_flags(host, pts):
                 best = q
         flags.append(best == p)
     return tuple(flags)
+
+
+def _grow(rect, q):
+    """The rectangle of rect's points and q, by a ``min`` and a ``max`` on
+    each axis: the rectangle rule the pin kernels used before the
+    direction fixed which edge a pin moves, frozen for the references
+    below."""
+    pmin, pmax, vmin, vmax = rect
+    pos, val = q
+    return min(pmin, pos), max(pmax, pos), min(vmin, val), max(vmax, val)
 
 
 # The three pin kernels as they stood before they read only the channel,
@@ -380,7 +389,7 @@ class TestMinimalBlock:
             for k in range(1, 13):
                 host = antichain_member(name, k)
                 n = len(host)
-                pos_of = {v: q for q, v in enumerate(host, start=1)}
+                pos_of = value_positions(host)
                 for _ in range(12):
                     i = rng.randint(1, n - 1)
                     j = rng.randint(i + 1, n)
@@ -393,7 +402,7 @@ class TestMinimalBlock:
             n = len(pi)
             if n < 2:
                 continue
-            pos_of = {v: q for q, v in enumerate(pi, start=1)}
+            pos_of = value_positions(pi)
             spans = {
                 (i, j): _minimal_span(pi, pos_of, i, j)
                 for i in range(1, n)
@@ -466,7 +475,7 @@ class TestChannelScanMatchesFrozen:
         for _ in range(3000):
             n = rng.randint(3, 40)
             host = _trusted(rng.sample(range(1, n + 1), n))
-            pos_of = {v: q for q, v in enumerate(host, start=1)}
+            pos_of = value_positions(host)
             pins = [(q, host[q - 1]) for q in rng.sample(range(1, n + 1), 2)]
             prev, rect = _bbox(pins[:1]), _bbox(pins)
             while True:
@@ -642,6 +651,33 @@ class TestReachingMatchesFrozenSearch:
                         assert _reached(fn(host, i, j)) == _frozen_reaching(
                             host, i, j, side
                         ), (name, k, i, j, side)
+
+    def test_seeded_long_hosts(self):
+        # Hosts of 20-80 points, half of them uniform (mostly simple, so
+        # blocks span the host and sequences run long) and half inflations
+        # of a short skeleton (so blocks are proper intervals).
+        rng = random.Random(2108)
+        for _ in range(120):
+            n = rng.randint(20, 80)
+            if rng.random() < 0.5:
+                host = _trusted(rng.sample(range(1, n + 1), n))
+            else:
+                cuts = sorted(rng.sample(range(1, n), rng.randint(1, 5)))
+                sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+                skeleton = rng.sample(range(1, len(sizes) + 1), len(sizes))
+                host = inflate(
+                    skeleton, [rng.sample(range(1, m + 1), m) for m in sizes]
+                )
+            for _ in range(3):
+                i = rng.randint(1, n - 1)
+                j = rng.randint(i + 1, n)
+                assert minimal_block(host, i, j).pos_range == brute_minimal_block(
+                    host, i, j
+                ), (host, i, j)
+                for fn, side in REACHES:
+                    assert _reached(fn(host, i, j)) == _frozen_reaching(
+                        host, i, j, side
+                    ), (host, i, j, side)
 
 
 class TestPinProbe:
