@@ -19,11 +19,15 @@ after a given pin lie in the channel between it and the earlier
 rectangle, so ``_proper_pins`` reads only that band: slices of the
 host's values and of its positions by value.  The band fixes the
 direction: the value band holds R and L pins, the position band U and
-D pins, so a ``max`` and a ``min`` find the furthest.  Reaching
-sequences are proper by construction (flags set, not rechecked) and
-searched as linked paths.  A pin word is realised by one insertion per
-letter into each axis's rank order.  The probe's parent word is alive,
-so a child word is tested only for occurrences through its new pin.
+D pins, so a ``max`` and a ``min`` find the furthest, and the pins come
+back in the order the reaching search pushes them.  Reaching sequences
+are proper by construction (flags set, not rechecked) and searched as
+linked paths.  A pin word is realised by one insertion per letter into
+each axis's rank order.  The probe makes the same insertion on its
+parent word's realisation, so it grows each word's host in one step
+instead of realising the word again; the new pin is an extreme of the
+host, and the parent word is alive, so a child word is tested only for
+occurrences through its new pin.
 
 The pin probe walks the words depth first, so it holds O(cap) words
 whatever the class, and it lists at most ``PROBE_WITNESSES`` survivors.
@@ -82,7 +86,9 @@ def _minimal_span(
     # position and each value is read once, when it is first covered:
     # the new positions as slices of ``pi``, the new values as slices of
     # ``pos_of``, the value-indexed positions (``pos_of[v]`` is the
-    # position of v, and index 0 is unused).
+    # position of v, and index 0 is unused).  The value slices leave out
+    # ``wlo`` and ``whi`` themselves: each is ``vlo`` or ``vhi`` again, or
+    # a value just read at a covered position.
     lo = hi = i
     vlo = vhi = pi[i - 1]
     plo, phi, wlo, whi = i, j, vlo, vhi
@@ -93,7 +99,7 @@ def _minimal_span(
             elif v > whi:
                 whi = v
         lo, hi = plo, phi
-        for q in pos_of[wlo:vlo] + pos_of[vhi + 1 : whi + 1]:
+        for q in pos_of[wlo + 1 : vlo] + pos_of[vhi + 1 : whi]:
             if q < plo:
                 plo = q
             elif q > phi:
@@ -167,13 +173,14 @@ def _slice_direction(q: Point, rect):
     return None
 
 
-def _proper_pins(pi: Sequence[int], pos_of: Sequence, last: Point, rect, prev) -> dict:
-    # The proper next pin in each direction: among the points of ``pi``
-    # that slice ``rect``, the rectangle of the pins so far, and separate
-    # the ``last`` pin from ``prev``, the rectangle of the earlier ones,
-    # the furthest in its direction.  A point separates them exactly when
-    # it lies in the channel between them: its value in the band
-    # (wmax, pval) or (pval, wmin), or its position in the band
+def _proper_pins(pi: Sequence[int], pos_of: Sequence, last: Point, rect, prev) -> list:
+    # The proper next pins as (pin, direction) pairs, in the order D, L,
+    # U, R in which the reaching search pushes them: among the points of
+    # ``pi`` that slice ``rect``, the rectangle of the pins so far, and
+    # separate the ``last`` pin from ``prev``, the rectangle of the
+    # earlier ones, the furthest in each direction.  A point separates
+    # them exactly when it lies in the channel between them: its value in
+    # the band (wmax, pval) or (pval, wmin), or its position in the band
     # (qmax, ppos) or (ppos, qmin).  At most one band of each kind is
     # non-empty, so each is read as one slice: the positions of the value
     # band from ``pos_of``, the value-indexed positions, and the values of
@@ -188,20 +195,18 @@ def _proper_pins(pi: Sequence[int], pos_of: Sequence, last: Point, rect, prev) -
     qmin, qmax, wmin, wmax = prev
     ppos, pval = last
     pmin, pmax, vmin, vmax = rect
-    by_dir: dict = {}
+    found = []
     positions = pos_of[wmax + 1 : pval] or pos_of[pval + 1 : wmin]
-    if positions:
-        if (p := max(positions)) > pmax:
-            by_dir[RIGHT] = (p, pi[p - 1])
-        if (p := min(positions)) < pmin:
-            by_dir[LEFT] = (p, pi[p - 1])
     values = pi[qmax : ppos - 1] or pi[ppos : qmin - 1]
-    if values:
-        if (v := max(values)) > vmax:
-            by_dir[UP] = (pos_of[v], v)
-        if (v := min(values)) < vmin:
-            by_dir[DOWN] = (pos_of[v], v)
-    return by_dir
+    if values and (v := min(values)) < vmin:
+        found.append(((pos_of[v], v), DOWN))
+    if positions and (p := min(positions)) < pmin:
+        found.append(((p, pi[p - 1]), LEFT))
+    if values and (v := max(values)) > vmax:
+        found.append(((pos_of[v], v), UP))
+    if positions and (p := max(positions)) > pmax:
+        found.append(((p, pi[p - 1]), RIGHT))
+    return found
 
 
 @dataclass(frozen=True)
@@ -256,7 +261,7 @@ def classify_pins(host: Sequence[int], pin_points: Iterable) -> PinSequence:
                 idx + 1, "does not slice the rectangle of the earlier pins"
             )
         directions.append(d)
-        proper.append(_proper_pins(host, pos_of, pts[idx - 1], rect, prev).get(d) == p)
+        proper.append((p, d) in _proper_pins(host, pos_of, pts[idx - 1], rect, prev))
         prev, rect = rect, _moved(rect, p, d)
     return PinSequence(host, pts, tuple(directions), tuple(proper))
 
@@ -352,12 +357,13 @@ def pin_word_to_perm(word: PinWord) -> Permutation:
 # --- reaching sequences -----------------------------------------------
 
 def _dfs_reaching(pi: Sequence[int], pos_of: Sequence, p1, p2, target):
-    # Depth-first over proper pins, trying R, U, L, D in that order (so
-    # they are pushed in reverse).  A proper reaching sequence always
-    # exists (Brignall, Huczynska and Vatter), so the search only has to
-    # find one.  Each entry carries a node (pin, direction, parent) of a
-    # linked path, whose direction is the key under which ``_proper_pins``
-    # returned the pin, the rectangle of the path's pins, which that
+    # Depth-first over proper pins, trying R, U, L, D in that order:
+    # ``_proper_pins`` returns them in the reverse order, which is the
+    # order they are pushed.  A proper reaching sequence always exists
+    # (Brignall, Huczynska and Vatter), so the search only has to find
+    # one.  Each entry carries a node (pin, direction, parent) of a
+    # linked path, whose direction is the one ``_proper_pins`` paired
+    # with the pin, the rectangle of the path's pins, which that
     # direction grows by one edge (``_moved``), and that of all but the
     # last.  A push copies no list: the path is read off the nodes once,
     # at the target.  A target among the starting points is reached by
@@ -374,11 +380,8 @@ def _dfs_reaching(pi: Sequence[int], pos_of: Sequence, p1, p2, target):
                 pins.append(q)
                 dirs.append(d)
             return pins[::-1], dirs[::-1]
-        cands = _proper_pins(pi, pos_of, node[0], rect, prev)
-        for d in (DOWN, LEFT, UP, RIGHT):
-            if d in cands:
-                q = cands[d]
-                stack.append(((q, d, node), _moved(rect, q, d), rect))
+        for q, d in _proper_pins(pi, pos_of, node[0], rect, prev):
+            stack.append(((q, d, node), _moved(rect, q, d), rect))
     return None
 
 
@@ -441,17 +444,32 @@ PROBE_WITNESSES = 64
 _PUSH_ORDER = {"": "DURL", "L": "DU", "R": "DU", "U": "RL", "D": "RL"}
 
 
-def _last_pin(host: Permutation, letter: str) -> int | None:
-    # The host position of the pin that a word's last letter placed: an R
-    # or L pin leaves by the last or first position, a U or D pin by the
-    # top or bottom value.  An origin word has no letter and no pin.
-    if letter == "R":
-        return len(host) - 1
-    if letter == "L":
-        return 0
-    if letter:
-        return host.index(len(host) if letter == "U" else 1)
-    return None
+def _pin_step(host: Permutation, pin: int, letter: str) -> tuple[Permutation, int]:
+    # The realisation of a word one letter longer, from ``host``, the
+    # realisation of the word, and ``pin``, the 0-based position of its
+    # newest pin (the origin's second point when it has no letter).
+    # ``pin_word_points`` inserts the new pin, number k of k + 1, into
+    # each axis's rank order, and this is the same insertion written on
+    # the one-line form.  On the axis the pin slices it takes rank
+    # ``cut``, and every rank from ``cut`` up moves up by one: ``cut`` is
+    # k when the newest pin holds rank k on that axis and 2 otherwise.
+    # On the other axis R and U take rank k + 1, and L and D rank 1,
+    # lifting every other.  So R appends value ``cut`` and L prepends
+    # it, U inserts value k + 1 at position ``cut``, and D inserts value
+    # 1 there.  The new pin is an extreme of the child: its last or first
+    # position, or its top or bottom value.
+    k = len(host)
+    if letter in _HORIZONTAL:
+        cut = k if host[pin] == k else 2
+        values = [v + 1 if v >= cut else v for v in host]
+        if letter == "R":
+            return _trusted((*values, cut)), k
+        return _trusted((cut, *values)), 0
+    cut = k if pin == k - 1 else 2
+    if letter == "U":
+        return _trusted((*host[: cut - 1], k + 1, *host[cut - 1 :])), cut - 1
+    values = [v + 1 for v in host]
+    return _trusted((*values[: cut - 1], 1, *values[cut - 1 :])), cut - 1
 
 
 @dataclass(frozen=True)
@@ -479,15 +497,20 @@ def pin_probe(inner: PermClass, cap: int) -> PinProbeResult:
     permutation leaves the class (the class is closed downward, so dead
     branches stay dead).  A word is pushed only when its parent, the
     word less its last letter, is alive, and deleting the last pin from
-    a word's realisation gives its parent's.  That pin is an extreme of
-    the host, so a child is tested only for occurrences through it (the
-    pinned test of :func:`~permwreath.avoidance.member`).  Each word's
-    children are pushed in reverse letter order, so the words of one
-    length are met in the order a breadth-first search lists them.  The walk stops once
-    ``PROBE_WITNESSES`` words of ``cap`` letters are alive, and returns
-    them.  Otherwise it returns the threshold, one more than the longest
-    live word: the first length at which no word is alive.  A cap above
-    ``PIN_CAP`` raises :class:`CapExceeded`.
+    a word's realisation gives its parent's.  So each stack entry
+    carries its word's realisation and the position of its last pin,
+    and a child's realisation is grown from its parent's by one step
+    that makes the insertion :func:`pin_word_points` makes for the
+    letter; only the two origins are realised whole.  The new pin is an
+    extreme of the child, so a child is tested only for occurrences
+    through it (the pinned test of :func:`~permwreath.avoidance.member`).
+    Each word's children are pushed in reverse letter order, so the
+    words of one length are met in the order a breadth-first search
+    lists them.  The walk stops once ``PROBE_WITNESSES`` words of ``cap``
+    letters are alive, and returns them.  Otherwise it returns the
+    threshold, one more than the longest live word: the first length at
+    which no word is alive.  A cap above ``PIN_CAP`` raises
+    :class:`CapExceeded`.
 
     >>> from .avoidance import av
     >>> pin_probe(av(21), 10).threshold
@@ -497,18 +520,18 @@ def pin_probe(inner: PermClass, cap: int) -> PinProbeResult:
         raise ValueError("cap must be at least 1")
     if cap > PIN_CAP:
         raise CapExceeded(f"pin cap {cap} exceeds the cap {PIN_CAP}")
-    longest, witnesses, stack = -1, [], [PinWord("21"), PinWord("12")]
+    longest, witnesses = -1, []
+    stack = [(o, "", pin_word_to_perm(PinWord(o)), 1) for o in ("21", "12")]
     while stack and len(witnesses) < PROBE_WITNESSES:
-        word = stack.pop()
-        host = pin_word_to_perm(word)
-        if not member(host, inner, pin=_last_pin(host, word.letters[-1:])):
+        origin, letters, host, pin = stack.pop()
+        if not member(host, inner, pin=pin if letters else None):
             continue
-        longest = max(longest, len(word.letters))
-        if len(word.letters) == cap:
-            witnesses.append(word)
+        longest = max(longest, len(letters))
+        if len(letters) == cap:
+            witnesses.append(PinWord(origin, letters))
             continue
-        for ch in _PUSH_ORDER[word.letters[-1:]]:
-            stack.append(PinWord(word.origin, word.letters + ch))
+        for ch in _PUSH_ORDER[letters[-1:]]:
+            stack.append((origin, letters + ch, *_pin_step(host, pin, ch)))
     if witnesses:
         return PinProbeResult(None, True, tuple(witnesses))
     return PinProbeResult(longest + 1, False, ())

@@ -1,5 +1,8 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from permwreath.blocks_pins import (
     _bbox,
     _inside,
     _minimal_span,
+    _pin_step,
     _proper_pins,
     _slice_direction,
     classify_pins,
@@ -91,6 +95,15 @@ def fraction_pin_word_points(word):
     val_rank = {v: r for r, v in enumerate(sorted(v for _, v in pts), start=1)}
     host = _trusted(val_rank[v] for _, v in sorted(pts))
     return host, tuple((pos_rank[p], val_rank[v]) for p, v in pts)
+
+
+def stepped_pin_word(word):
+    """(host, 0-based position of the last pin) of a word, folding the
+    probe's one-letter step over its letters from the origin pair."""
+    host, pin = p(word.origin), 1
+    for ch in word.letters:
+        host, pin = _pin_step(host, pin, ch)
+    return host, pin
 
 
 def all_pin_words(max_letters):
@@ -298,6 +311,43 @@ def _frozen_probe(inner, cap):
     return None, True, tuple(frontier)
 
 
+def spy_on_member(monkeypatch):
+    """Count the probe's class tests as (host, pin) pairs; each still
+    goes through the module's ``member``."""
+    tested = Counter()
+    test = blocks_pins.member
+
+    def spy(pi, cls, pin=None):
+        tested[tuple(pi), pin] += 1
+        return test(pi, cls, pin=pin)
+
+    monkeypatch.setattr(blocks_pins, "member", spy)
+    return tested
+
+
+def realised_probe_tests(inner, cap):
+    """The (host, pin) pairs a probe that never stops early tests, by
+    the fractional realiser: each origin whole (pin None), and each child
+    of a live word of fewer than ``cap`` letters pinned at its last pin."""
+    tested = Counter()
+    level = [PinWord("12"), PinWord("21")]
+    while level:
+        alive = []
+        for word in level:
+            host, pins = fraction_pin_word_points(word)
+            tested[tuple(host), pins[-1][0] - 1 if word.letters else None] += 1
+            if member(host, inner) and len(word.letters) < cap:
+                alive.append(word)
+        level = [
+            PinWord(word.origin, word.letters + ch)
+            for word in alive
+            for ch in ("LRUD" if not word.letters else (
+                "UD" if word.letters[-1] in "LR" else "LR"
+            ))
+        ]
+    return tested
+
+
 def _reached(seq):
     return seq.pins, seq.directions, seq.proper_flags
 
@@ -481,11 +531,14 @@ class TestChannelScanMatchesFrozen:
             while True:
                 found = _proper_pins(host, pos_of, pins[-1], rect, prev)
                 frozen = _frozen_channel_pins(host, pos_of, pins[-1], rect, prev)
-                assert found == frozen, (host, pins)
+                assert {d: q for q, d in found} == frozen, (host, pins)
+                assert [d for _, d in found] == [
+                    d for d in ("down", "left", "up", "right") if d in frozen
+                ], (host, pins)
                 calls += 1
                 if not found:
                     break
-                q = found[rng.choice(sorted(found))]
+                q = frozen[rng.choice(sorted(frozen))]
                 pins.append(q)
                 prev, rect = rect, _grow(rect, q)
         assert calls > 10000
@@ -538,13 +591,20 @@ class TestPinWords:
             seq = classify_pins(host, pts)
             assert all(seq.proper_flags[2:])
 
+    # Each word is realised twice: whole, and by the probe's one-letter
+    # step folded over its letters, which also gives the last pin's index.
+
     def test_matches_fractional_realiser(self):
         for word in all_pin_words(10):
-            assert pin_word_points(word) == fraction_pin_word_points(word), word
+            host, pins = fraction_pin_word_points(word)
+            assert pin_word_points(word) == (host, pins), word
+            assert stepped_pin_word(word) == (host, pins[-1][0] - 1), word
 
     def test_matches_frozen_relabelling(self):
         for word in all_pin_words(12):
-            assert pin_word_points(word) == _frozen_pin_word_points(word), word
+            host, pins = _frozen_pin_word_points(word)
+            assert pin_word_points(word) == (host, pins), word
+            assert stepped_pin_word(word) == (host, pins[-1][0] - 1), word
 
     def test_long_up_right_word_is_the_increasing_oscillation(self):
         for m in range(4, 40, 2):
@@ -712,14 +772,15 @@ class TestPinProbe:
         "cls", [av(321), named("widdershins-y")], ids=["av321", "widdershins-y"]
     )
     def test_matches_probe_on_fractional_realiser(self, cls, monkeypatch):
+        # The probe never stops early here, so it tests exactly the
+        # origins and every child of a live word shorter than the cap.
+        tested = spy_on_member(monkeypatch)
         result = pin_probe(cls, 12)
-        assert result.exceeded and result.witnesses
-        monkeypatch.setattr(
-            blocks_pins,
-            "pin_word_to_perm",
-            lambda word: fraction_pin_word_points(word)[0],
+        assert result.exceeded and 0 < len(result.witnesses) < PROBE_WITNESSES
+        assert tested == realised_probe_tests(cls, 12)
+        assert (result.threshold, result.exceeded, result.witnesses) == _frozen_probe(
+            cls, 12
         )
-        assert pin_probe(cls, 12) == result
 
     def test_empty_class_threshold_zero(self):
         assert pin_probe(av(1), 5).threshold == 0
@@ -755,14 +816,24 @@ class TestPinProbeMatchesFrozenBreadthFirst:
             assert result.witnesses == survivors[:PROBE_WITNESSES], cap
 
     def test_realisations_at_cap_40(self, monkeypatch):
-        calls = []
-        realise = blocks_pins.pin_word_to_perm
-
-        def spy(word):
-            calls.append(word)
-            return realise(word)
-
-        monkeypatch.setattr(blocks_pins, "pin_word_to_perm", spy)
+        tested = spy_on_member(monkeypatch)
         result = pin_probe(av(321), 40)
         assert result.exceeded and len(result.witnesses) == 12
-        assert len(calls) == 938
+        assert sum(tested.values()) == 938
+        assert tested == realised_probe_tests(av(321), 40)
+
+
+GOLDEN_PROBES = Path(__file__).with_name("golden_pin_probe.json")
+
+
+class TestPinProbeGoldenAtPinCap:
+    def test_registry_classes(self):
+        golden = json.loads(GOLDEN_PROBES.read_text())
+        assert list(golden) == list(REGISTRY)
+        for name, cls in REGISTRY.items():
+            result = pin_probe(cls, PIN_CAP)
+            assert {
+                "threshold": result.threshold,
+                "exceeded": result.exceeded,
+                "witnesses": [str(w) for w in result.witnesses],
+            } == golden[name], name
