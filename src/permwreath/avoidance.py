@@ -107,10 +107,11 @@ def _in_class(pi: Sequence[int], cls: PermClass, pin: int | None = None) -> bool
     # The one class test, unmemoised: for a host that is tested once,
     # a memo entry would only be written and never read.  With ``pin``
     # it looks only for occurrences through that extreme point (see
-    # ``member``).
+    # ``member``), and every basis element goes to the search, which
+    # refuses a pin outside ``pi``.
     if pin is None:
         return not any(involves(b, pi) for b in cls.basis if len(b) <= len(pi))
-    return not any(_matches(b, pi, 1, pin) for b in cls.basis if len(b) <= len(pi))
+    return not any(_matches(b, pi, 1, pin) for b in cls.basis)
 
 
 _member = lru_cache(maxsize=MEMBER_CACHE_SIZE)(_in_class)
@@ -127,7 +128,8 @@ def member(pi: Sequence[int], cls: PermClass, pin: int | None = None) -> bool:
     value) and that ``pi`` less that point lies in ``cls``.  Then only
     an occurrence through the point can put ``pi`` outside, and only
     those are searched (see :func:`~permwreath.perm_core.involves`).
-    Such a call is a child's one test, so it skips the memo.
+    Such a call is a child's one test, so it skips the memo.  A pin
+    that is not a position of ``pi`` raises ``ValueError``.
 
     >>> member(Permutation((2, 5, 1, 3, 7, 6, 4)), av(321))
     False

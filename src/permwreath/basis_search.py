@@ -12,9 +12,8 @@ children: n joins the block that holds n - 1, or stands alone as a new
 block, and one pinned row of the downset grower for that block's
 pattern, or for the parent's profile, certifies those children members
 with no pass of their own.  Every other child gets one greedy pass, and
-one with as many blocks as its parent is a member without a lookup.
-Only a non-member has its other deletions looked up in the previous
-length's members.
+its profile is tested against the outer class.  Only a non-member has
+its other deletions looked up in the previous length's members.
 
 Next to the members, the scan carries the members that lie in the
 inner class itself, at every length below the one it scans.  Every
@@ -85,31 +84,27 @@ def _certificate(
     lows: list[int],
     outer: PermClass,
     inner: PermClass,
-    inside: bool,
     rows: dict,
 ) -> tuple[int, int]:
     """The children of the member ``mu`` that its own deflation certifies.
 
-    ``ends`` and ``lows`` are the left-greedy blocks of ``mu``, and
-    ``inside`` says whether ``mu`` lies in ``inner``.  Returns two
-    bitmasks over the index p at which n = len(mu) + 1 is inserted: the
-    children that rules (a) and (b) of :func:`basis_elements_of_length`
-    certify as members, and among them the children that lie in
-    ``inner``.  ``rows`` holds the rows of the pass.
+    ``ends`` and ``lows`` are the left-greedy blocks of ``mu``.  Returns
+    two bitmasks over the index p at which n = len(mu) + 1 is inserted:
+    the children that rules (a) and (b) of
+    :func:`basis_elements_of_length` certify as members, and among them
+    the children that lie in ``inner``, which only a parent that is one
+    block, T = mu, can have (rule (d)).  ``rows`` holds the rows of the
+    pass.
     """
-    if inside:
-        # T is mu itself, so row (a) is the in-inner test of rule (e);
-        # each parent is read once, so its row is not memoised.
-        in_y = sure = _row(mu, inner, {})
-    else:
-        in_y = 0
-        t = lows.index(max(lows))  # the block T that holds n - 1
-        s = ends[t - 1] + 1 if t else 0
-        top = _trusted([v - lows[t] + 1 for v in mu[s : ends[t] + 1]])
-        sure = _row(top, inner, rows) << s
-    # A parent of singleton blocks is its own profile, the only parent
-    # with that profile, so its row is not memoised either.
-    row = _row(_profile_of(lows, len(mu)), outer, rows if len(lows) < len(mu) else {})
+    t = lows.index(max(lows))  # the block T that holds n - 1
+    s = ends[t - 1] + 1 if t else 0
+    top = _trusted([v - lows[t] + 1 for v in mu[s : ends[t] + 1]])
+    profile = _profile_of(lows, len(mu))
+    # A row whose pattern is mu itself is read by mu alone, so it is not
+    # memoised.
+    sure = _row(top, inner, {} if top == mu else rows) << s
+    in_y = sure if top == mu else 0
+    row = _row(profile, outer, {} if profile == mu else rows)
     for i, p in enumerate((0, *(e + 1 for e in ends))):
         if row >> i & 1:
             sure |= 1 << p
@@ -158,48 +153,38 @@ def basis_elements_of_length(
         ``avoidance._children``: T's pattern in ``inner`` for (a) and P
         in ``outer`` for (b).  T lies in ``inner`` and P in ``outer``,
         so each child is a pinned test.  Each row is memoised as a
-        bitmask for the pass, keyed by pattern and class, except the two
-        that only one parent reads: row (a) of a parent in ``inner``,
-        which is the parent itself (see (e)), and row (b) of a parent of
-        singleton blocks, which is its own profile.  The helper
-        ``_certificate`` reads both rows.
+        bitmask for the pass, keyed by pattern and class, except a row
+        whose pattern is the parent itself, which only that parent
+        reads: row (a) of a parent in ``inner``, which is one block (see
+        (d)), and row (b) of a parent of singleton blocks, which is its
+        own profile.  The helper ``_certificate`` reads both rows.
 
-    The child's block count is never below m: deleting n from its
-    shortest deflation leaves one of the parent's with as many blocks,
-    or one fewer when n is a block alone.
+    Every child that (a) and (b) leave gets one full greedy pass with
+    the outside hint.  A child of n singleton blocks is its own profile
+    and is tested whole against ``outer`` (see (e)); any other child's
+    profile, shorter than n, is looked up in ``outer``'s memo.
 
-    (d) Same count.  Every child that (a) and (b) leave gets one full
-        greedy pass with the outside hint, and one with exactly m blocks
-        is a member, with no profile and no lookup.  n is not a block
-        alone, or deleting it would leave a parent deflation of m - 1
-        blocks.  So deleting n from its block leaves a parent deflation
-        into m blocks from ``inner`` with the child's profile.  The
-        shortest profile is unique, so that is the profile of the
-        parent, a member, and it lies in ``outer``.
-    (e) In ``inner``.  A child contains its parent and ``inner`` is
+    (d) In ``inner``.  A child contains its parent and ``inner`` is
         closed downward, so only a child of a parent in ``inner`` can
         lie in it.  Such a parent is one block, T is the parent itself,
         and row (a) is the pinned test of each child whole against
         ``inner``; no child of a parent outside ``inner`` is tested.  A
         child in ``inner`` is a member by (a); any other child's greedy
         pass gets the outside hint.
-    (f) Block verdicts from the layers.  When the point lies in the
+    (e) Block verdicts from the layers.  When the point lies in the
         product it lies in ``outer``, and every permutation sigma of
         ``inner`` is a member, the inflation 1[sigma].  By induction on
         n, then, ``prev_inner`` is every permutation of ``inner``
         shorter than n: each length's members include all of ``inner``
-        at that length, and (e) sorts out the ones in ``inner``.  Every
+        at that length, and (d) sorts out the ones in ``inner``.  Every
         block this pass tests is shorter than n, a block of a parent or
         of a child that the hint keeps off the whole host, so its
         verdict is a lookup in ``prev_inner``, with no memo entry.  The
         whole host is tested once and never memoised: against ``inner``
-        in (e), its verdict going into the returned set, and against
+        in (d), its verdict going into the returned set, and against
         ``outer`` when the child has n blocks, since a child of
         singleton blocks is its own profile.  When the point is not in
         the product, no pass has parents and nothing is tested.
-
-    Any other child's profile, shorter than n, is looked up in
-    ``outer``'s memo.
 
     Returns the basis elements of length n in lexicographic order, the
     set of length-n members (the next pass's ``parents``) and the
@@ -214,16 +199,14 @@ def basis_elements_of_length(
         if wreath_member(ONE, outer, inner):
             return [], {ONE}, {ONE}
         return [ONE], set(), set()
-    is_block = prev_inner.__contains__  # (f): every block is shorter than n
+    is_block = prev_inner.__contains__  # (e): every block is shorter than n
     members: set[Permutation] = set()
     in_inner: set[Permutation] = set()
     found: list[Permutation] = []
     rows: dict[tuple[Permutation, PermClass], int] = {}
     for mu in parents:
-        inside = mu in prev_inner
-        ends, lows = _greedy_blocks(mu, inner, not inside, in_inner=is_block)
-        m = len(lows)
-        sure, in_y = _certificate(mu, ends, lows, outer, inner, inside, rows)
+        ends, lows = _greedy_blocks(mu, inner, mu not in prev_inner, in_inner=is_block)
+        sure, in_y = _certificate(mu, ends, lows, outer, inner, rows)
         for p in range(n):
             if sure >> p & 1:  # (a), (b)
                 if keep_members:
@@ -234,10 +217,9 @@ def basis_elements_of_length(
                 continue
             child = _trusted(mu[:p] + (n,) + mu[p:])
             _, lows = _greedy_blocks(child, inner, True, in_inner=is_block)
-            count = len(lows)
-            if count == m or (
+            if (
                 _in_class(child, outer)
-                if count == n
+                if len(lows) == n
                 else member(_profile_of(lows, n), outer)
             ):
                 if keep_members:

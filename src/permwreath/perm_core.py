@@ -246,14 +246,17 @@ def _matches(
     # occurrences of sigma in pi, or ``limit`` as soon as the count
     # reaches it (None: no limit).  With ``pin``, the 0-based position of
     # an extreme point of pi, only the occurrences through that point
-    # count.  Entry t scans the positions of pi with one iterator and
-    # keeps its value window [lo_v, hi_v] and role; the stack holds the
-    # same for each earlier entry, with the count before its candidate.
-    # A candidate scans for the next entry's first candidate and descends
-    # only if there is one; the last entry's candidates are counted in
-    # that scan, with no slot of their own.
+    # count, and a pin outside pi is refused before anything else, so
+    # no early return lets one through.  Entry t scans the positions of
+    # pi with one iterator and keeps its value window [lo_v, hi_v] and
+    # role; the stack holds the same for each earlier entry, with the
+    # count before its candidate.  A candidate scans for the next entry's
+    # first candidate and descends only if there is one; the last entry's
+    # candidates are counted in that scan, with no slot of their own.
     host = tuple(pi)
     k, n = len(sigma), len(host)
+    if pin is not None and not 0 <= pin < n:
+        raise ValueError(f"pin {pin} is not a position of a host of length {n}")
     if k > n:
         return 0
     if k < 2:

@@ -81,7 +81,7 @@ def _greedy_blocks(
     :func:`wreath_member` and :func:`left_greedy_profile` use.  The
     basis scan passes the membership test of its set of ``inner``'s
     permutations shorter than the length it scans, which answers every
-    block it lets this loop test (rule (f) of
+    block it lets this loop test (rule (e) of
     :func:`~permwreath.basis_search.basis_elements_of_length`).
 
     With ``outside_inner`` the caller vouches that the whole host lies

@@ -515,7 +515,7 @@ def test_child_aware_pass_matches_frozen_pass(outer, inner, max_len):
 def test_carried_set_is_the_inner_class_below_the_scanned_length(
     outer, inner, max_len, monkeypatch
 ):
-    # Rule (f): when the product holds the point, the set a pass answers
+    # Rule (e): when the product holds the point, the set a pass answers
     # its block tests from is every permutation of inner shorter than the
     # pass; otherwise it stays empty and no block is ever tested.
     carried, greedy_calls = {}, []
@@ -549,16 +549,14 @@ def test_carried_set_is_the_inner_class_below_the_scanned_length(
 def test_certified_children_are_members(outer, inner, max_len):
     # Rules (a) and (b): every child the parent's deflation certifies is
     # a member, and for a parent in inner the (a) bit is the child's
-    # membership in inner, the in-inner test of rule (e).
+    # membership in inner, the in-inner test of rule (d).
     members, in_inner = set(), set()
     for n in range(1, min(max_len, 7) + 1):
         rows = {}
         for mu in members:
             inside = mu in in_inner
             ends, lows = profile._greedy_blocks(mu, inner, not inside)
-            sure, in_y = basis_search._certificate(
-                mu, ends, lows, outer, inner, inside, rows
-            )
+            sure, in_y = basis_search._certificate(mu, ends, lows, outer, inner, rows)
             assert sure < 1 << n and in_y & ~sure == 0, mu
             for p in range(n):
                 child = _trusted(mu[:p] + (n,) + mu[p:])
@@ -569,6 +567,31 @@ def test_certified_children_are_members(outer, inner, max_len):
             outer, inner, n, members, in_inner
         )
         in_inner = in_inner | new_inner
+
+
+@pytest.mark.parametrize("outer, inner, max_len", CHILD_AWARE_PAIRS, ids=CHILD_AWARE_IDS)
+def test_rows_memoise_no_parents_own_pattern(outer, inner, max_len, monkeypatch):
+    # Rule (c): a row whose pattern is the parent itself, row (a) of a
+    # parent in inner or row (b) of a parent of singleton blocks, is read
+    # by that parent alone and is not memoised.  So after each pass every
+    # key in the pass's rows has a pattern shorter than the parents.
+    seen = []
+    real_certificate = basis_search._certificate
+
+    def spy_certificate(mu, ends, lows, outer, inner, rows):
+        seen.append(rows)
+        return real_certificate(mu, ends, lows, outer, inner, rows)
+
+    monkeypatch.setattr(basis_search, "_certificate", spy_certificate)
+    keys = 0
+    for n, _ in basis_search.basis_passes(outer, inner, min(max_len, 7)):
+        passes = {id(rows): rows for rows in seen}
+        assert len(passes) <= 1, n
+        for rows in passes.values():
+            assert all(len(pattern) < n - 1 for pattern, _ in rows), n
+            keys += len(rows)
+        seen.clear()
+    assert keys > 0 or not wreath_member(ONE, outer, inner)
 
 
 def test_most_children_get_no_greedy_pass(monkeypatch):

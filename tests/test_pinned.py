@@ -83,6 +83,20 @@ def test_a_pin_that_is_no_extreme_is_refused():
         _matches(p("12"), p("25314"), 1, 2)
 
 
+@pytest.mark.parametrize("pin", [-1, 2])
+def test_a_pin_outside_the_host_is_refused(pin):
+    # A negative pin would reverse the host but not the pattern, and one
+    # past the end would read the last position; both are refused before
+    # the early returns of a pattern too long or too short to search.
+    for sigma in (p("21"), p("1"), p("321")):
+        with pytest.raises(ValueError, match="not a position"):
+            _matches(sigma, p("12"), 1, pin)
+    with pytest.raises(ValueError, match="not a position"):
+        member(p("12"), av(21), pin=pin)
+    with pytest.raises(ValueError, match="not a position"):
+        member(p("12"), av(321), pin=pin)
+
+
 def test_a_pinned_member_call_skips_the_memo():
     before = _member.cache_info()
     assert not member(p("2513764"), av(321), pin=4)

@@ -243,9 +243,10 @@ class TestGreedyBlocksKernel:
 
     @pytest.mark.parametrize("inner", SCAN_INNERS, ids=class_literal)
     def test_a_child_keeps_its_parents_profile_or_gains_blocks(self, inner):
-        # Rule (d) of the basis scan: inserting the new maximum never
-        # shortens the greedy deflation, and a child with as many blocks
-        # as its parent has the parent's profile.
+        # Inserting the new maximum never shortens the greedy deflation,
+        # and a child with as many blocks as its parent has the parent's
+        # profile: the greedy kernel's own invariant under the basis
+        # scan's insertions.
         for mu in perms_up_to(6):
             n = len(mu) + 1
             _, plows = _greedy_blocks(mu, inner, False)

@@ -1,0 +1,156 @@
+"""Check that two source trees give the same command-line outputs, byte for byte.
+
+    python tools/same_output.py PARENT CHANGE
+
+PARENT and CHANGE are checkouts of this repository.  For each tree one
+subprocess imports ``permwreath`` from ``<tree>/src``, and refuses to run
+if the import finds any other copy.  It runs a fixed list of command
+lines through ``cli.execute``:
+
+* ``basis`` of ``av(25134) wr av(321)`` to length 8, and of the other
+  pairs the basis scan's child-aware pass is tested on to length 7,
+  each with a fresh temporary store;
+* ``pin-probe --pin-cap 20`` of every registry class;
+* ``verify-basis`` of each antichain family member with k <= 4, against
+  each inner class the family defeats;
+* ``pins reach`` (both sides), ``minblock``, ``decompose`` and
+  ``profile --blocks`` on those members;
+* a ``--json`` copy of some of the above.
+
+The exit code, the stdout and the store's bytes of each invocation are
+compared as SHA-256 digests.  It prints ``identical: N invocations`` and
+exits 0, or prints the first command line whose outcome differs and
+exits 1.  A tree that cannot run the list exits 2 with its error.  Only
+the standard library is used.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+#: The scanned pairs that are not antichain families, with their lengths.
+BASIS_PAIRS = [
+    ("av(25134)", "av(321)", 8),
+    ("av(21)", "av(231)", 7),
+    ("av(4321,3412)", "av(21)", 7),
+    ("av(123)", "av(21)", 7),
+    ("av(321)", "av(21)", 7),
+    ("av(21)", "av(2413,3142)", 7),
+    ("av(231)", "av(321)", 7),
+    ("av(2413)", "av(12,21)", 7),
+    ("av(12)", "av(12)", 7),
+    ("av(1)", "av(321)", 7),
+    ("av(321)", "av(1)", 7),
+    ("av(321)", "av()", 7),
+    ("av()", "av(21)", 7),
+]
+
+#: Family members 1..FAMILY_K are verified and taken apart.
+FAMILY_K = 4
+
+
+def invocations() -> list[list[str]]:
+    """The command lines, built from the registry and families of the
+    ``permwreath`` that is imported."""
+    from permwreath.avoidance import REGISTRY, class_literal
+    from permwreath.basis_search import FAMILIES, antichain_member
+
+    pairs = BASIS_PAIRS + [
+        (class_literal(fam.outer), class_literal(fam.inner), 7)
+        for name, fam in FAMILIES.items()
+        if name != "thm6"
+    ]
+    runs = [["basis", "--x", x, "--y", y, "--max-len", str(n)] for x, y, n in pairs]
+    runs += [["pin-probe", "--y", name, "--pin-cap", "20"] for name in sorted(REGISTRY)]
+    for fam in FAMILIES.values():
+        outer = class_literal(fam.outer)
+        for k in range(1, FAMILY_K + 1):
+            pi = antichain_member(fam, k)
+            text, n = str(pi), len(pi)
+            for inner in map(class_literal, fam.inners):
+                runs.append(["verify-basis", text, "--x", outer, "--y", inner])
+            for i, j in ((1, 2), (2, n), (1, n)):
+                for side in ("right", "left"):
+                    runs.append(["pins", "reach", text, str(i), str(j), "--side", side])
+                runs.append(["minblock", text, str(i), str(j)])
+            runs.append(["decompose", text])
+            runs.append(["profile", text, "--y", class_literal(fam.inner), "--blocks"])
+    return runs + [["--json", *argv] for argv in runs[::7]]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def worker(tree: str) -> None:
+    """Run every invocation on ``<tree>/src`` and print their digests as JSON."""
+    src = Path(tree).resolve() / "src"
+    sys.path.insert(0, str(src))
+    os.environ.pop("PERMWREATH_STORE", None)
+    import permwreath
+    from permwreath import cli
+
+    found = Path(permwreath.__file__).resolve().parent
+    if found != src / "permwreath":
+        sys.exit(f"imported permwreath from {found}, not from {src}")
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, argv in enumerate(invocations()):
+            store = None
+            if "basis" in argv:
+                store = Path(tmp) / f"store-{index}.jsonl"
+                argv_run = ["--store", str(store), *argv]
+            else:
+                argv_run = argv
+            result = cli.execute(argv_run)
+            stored = store.read_bytes() if store and store.exists() else b""
+            out = _digest(result.stdout.encode())
+            records.append([argv, result.exit_code, out, _digest(stored)])
+    json.dump(records, sys.stdout)
+
+
+def digests(tree: str) -> list[list]:
+    """The digest records of ``tree``, from one subprocess."""
+    code = f"import sys; sys.path.insert(0, {str(HERE)!r}); import same_output; "
+    code += f"same_output.worker({str(tree)!r})"
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True
+    )
+    if run.returncode:
+        raise RuntimeError(f"{tree}: {run.stderr.strip()}")
+    return json.loads(run.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python tools/same_output.py PARENT CHANGE", file=sys.stderr)
+        return 2
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            parent, change = pool.map(digests, args)
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    for before, after in zip(parent, change):
+        if before != after:
+            print("differs:", json.dumps(before[0]))
+            return 1
+    if len(parent) != len(change):
+        print(f"differs: {len(parent)} invocations against {len(change)}")
+        return 1
+    print(f"identical: {len(parent)} invocations")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
