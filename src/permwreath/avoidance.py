@@ -107,10 +107,12 @@ def _in_class(pi: Sequence[int], cls: PermClass, pin: int | None = None) -> bool
     # The one class test, unmemoised: for a host that is tested once,
     # a memo entry would only be written and never read.  With ``pin``
     # it looks only for occurrences through that extreme point (see
-    # ``member``), and every basis element goes to the search, which
-    # refuses a pin outside ``pi``.
+    # ``member``).  A pin outside ``pi`` is refused here, as the search
+    # refuses it, so that a class with an empty basis refuses it too.
     if pin is None:
         return not any(involves(b, pi) for b in cls.basis if len(b) <= len(pi))
+    if not 0 <= pin < len(pi):
+        raise ValueError(f"pin {pin} is not a position of a host of length {len(pi)}")
     return not any(_matches(b, pi, 1, pin) for b in cls.basis)
 
 

@@ -11,6 +11,17 @@ the increasing (decreasing) skeleton ``1 2 .. t`` (``t .. 2 1``) over the
 finest splitting into sum- (skew-) indecomposable blocks.  That skeleton
 is simple only when t = 2; :func:`skeleton` collapses it back to the
 simple root 12 (or 21) when asked for the simple permutation itself.
+
+There is no interval scan here.  Sum and skew blocks are read off the
+prefix cuts.  Over a simple skeleton of length at least 4 the blocks are
+the maximal proper intervals, and those are the left-greedy blocks of
+:func:`~permwreath.profile._greedy_blocks` when every block is allowed
+and the whole host is not.  Either way the skeleton is the profile of
+the blocks' lows and each block's pattern is its values less its low,
+read by the helper that :func:`~permwreath.profile.left_greedy_profile`
+uses too.  :func:`is_simple` still lists every interval, so the
+assertion on a simple skeleton checks the greedy tiling against the
+exhaustive listing.
 """
 
 from __future__ import annotations
@@ -18,15 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm_core import (
-    Permutation,
-    _trusted,
-    decreasing,
-    identity,
-    interval_end_table,
-    intervals,
-    reduce,
-)
+from .avoidance import PermClass
+from .perm_core import Permutation, _trusted, intervals
+from .profile import _deflation, _greedy_blocks
 
 SUM_DECOMPOSABLE = "sum-decomposable"
 SKEW_DECOMPOSABLE = "skew-decomposable"
@@ -83,11 +88,6 @@ def is_simple(pi: Sequence[int]) -> bool:
     return len(intervals(pi)) == n + 1
 
 
-def _segments_from_cuts(cuts: list[int], n: int) -> list[tuple[int, int]]:
-    bounds = [0] + cuts + [n]
-    return [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
-
-
 def substitution_decomposition(pi: Sequence[int]) -> SubstitutionDecomposition:
     """Decompose ``pi`` into its skeleton and blocks.
 
@@ -106,31 +106,20 @@ def substitution_decomposition(pi: Sequence[int]) -> SubstitutionDecomposition:
     if n == 1:
         return SubstitutionDecomposition(pi, ((1, 1),), (pi,))
 
-    cuts = _sum_cuts(pi)
+    cuts = _sum_cuts(pi) or _skew_cuts(pi)
     if cuts:
-        segs = _segments_from_cuts(cuts, n)
-        skel = identity(len(segs))
+        # A block's values are consecutive, so its minimum is its low;
+        # the lows of sum (skew) blocks rank to 1 2 .. t (t .. 2 1).
+        ends = [c - 1 for c in cuts] + [n - 1]
+        lows = [min(pi[s : e + 1]) for s, e in zip([0, *cuts], ends)]
     else:
-        cuts = _skew_cuts(pi)
-        if cuts:
-            segs = _segments_from_cuts(cuts, n)
-            skel = decreasing(len(segs))
-        else:
-            # The maximal proper intervals tile the host exactly when it
-            # is neither sum nor skew decomposable, so the longest proper
-            # interval from each start is the next block.
-            ends = interval_end_table(pi)
-            segs = []
-            s = 1
-            while s <= n:
-                e = max(e for e in ends[s] if e - s < n - 1)
-                segs.append((s, e))
-                s = e + 1
-            skel = reduce([pi[s - 1] for s, _ in segs])
-            assert is_simple(skel) and len(skel) >= 4
-
-    patterns = tuple(reduce(pi[s - 1 : e]) for s, e in segs)
-    return SubstitutionDecomposition(skel, tuple(segs), patterns)
+        # The maximal proper intervals tile the host exactly when it is
+        # neither sum nor skew decomposable: they are its greedy blocks
+        # when every block is allowed and the whole host is not.
+        ends, lows = _greedy_blocks(pi, PermClass(()), True)
+    d = SubstitutionDecomposition(*_deflation(pi, ends, lows))
+    assert cuts or is_simple(d.skeleton) and len(d.skeleton) >= 4
+    return d
 
 
 def skeleton(pi: Sequence[int]) -> Permutation:
@@ -142,9 +131,6 @@ def skeleton(pi: Sequence[int]) -> Permutation:
     Permutation([2, 1])
     """
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
-    n = len(pi)
-    if n == 1:
-        return pi
     if _sum_cuts(pi):
         return _trusted((1, 2))
     if _skew_cuts(pi):

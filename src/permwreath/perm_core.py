@@ -172,7 +172,9 @@ _LOWER, _UPPER, _BOTH, _FREE = range(4)
 
 
 @lru_cache(maxsize=4096)
-def _pattern_table(sigma: tuple) -> tuple[tuple[int, int, int, int, int], ...]:
+def _pattern_table(sigma: tuple, invert: bool = False, reverse: bool = False) -> tuple:
+    # The table of sigma inverted, then reversed, as asked: the pinned
+    # search reads a turned pattern, and it shares this one memo.
     # One row (lo, dlo, hi, dhi, role) per index t of sigma.  lo and hi
     # are the earlier indices holding the closest smaller and the closest
     # larger value; k and k + 1 stand in when there is none, as virtual
@@ -185,6 +187,10 @@ def _pattern_table(sigma: tuple) -> tuple[tuple[int, int, int, int, int], ...]:
     # as a doubly linked list between the sentinels 0 and k + 1: the
     # neighbours of sigma[t] there are its closest earlier values, and
     # unlinking it leaves the list for t - 1.  So the table takes O(k).
+    if invert:
+        sigma = _inverse(sigma)
+    if reverse:
+        sigma = sigma[::-1]
     k = len(sigma)
     index = [k] * (k + 2)
     index[k + 1] = k + 1
@@ -213,14 +219,6 @@ def _inverse(pi: Sequence[int]) -> tuple:
     return tuple(inv)
 
 
-@lru_cache(maxsize=4096)
-def _turned_table(sigma: tuple, invert: bool, reverse: bool) -> tuple:
-    # The pattern table of sigma inverted, then reversed, as asked.
-    if invert:
-        sigma = _inverse(sigma)
-    return _pattern_table(sigma[::-1] if reverse else sigma)
-
-
 def _pinned_first(sigma: Sequence[int], host: tuple, pin: int) -> tuple[tuple, tuple]:
     # The pattern table and host of a search through the extreme point at
     # 0-based position ``pin``, moved to position 0 as argued in
@@ -236,7 +234,7 @@ def _pinned_first(sigma: Sequence[int], host: tuple, pin: int) -> tuple[tuple, t
         host, pin = _inverse(host), v - 1
     if pin:
         host = host[::-1]
-    return _turned_table(tuple(sigma), invert, pin > 0), host
+    return _pattern_table(tuple(sigma), invert, pin > 0), host
 
 
 def _matches(
@@ -451,8 +449,10 @@ def interval_end_table(pi: Sequence[int]) -> list[list[int]]:
     """For each 1-based start s, the ascending list of interval ends.
 
     Entry ``table[s]`` lists every e with s..e an interval of pi; index 0
-    is unused.  It serves :func:`intervals`, the brute-force deflation
-    oracle ``all_deflations`` and ``substitution_decomposition``.
+    is unused.  It serves only :func:`intervals` and the brute-force
+    deflation oracle ``all_deflations``: the deflations and the
+    substitution decomposition tile their hosts with the left-greedy
+    scan of ``profile._greedy_blocks``, which stops at each block's end.
     """
     n = len(pi)
     table: list[list[int]] = [[] for _ in range(n + 2)]

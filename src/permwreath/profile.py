@@ -89,6 +89,14 @@ def _greedy_blocks(
     block could test, and that test would fail, so the first block
     stops one position short of the end and never runs it.  The blocks
     are the same; a false promise gives a wrong answer.
+
+    :func:`~permwreath.decomposition.substitution_decomposition` passes
+    the class ``PermClass(())`` with the hint.  Its empty basis means no
+    block is tested, so each block is the longest interval from its
+    start, and the hint holds the first block short of the whole host.
+    For a host that is neither sum nor skew decomposable those blocks
+    are its maximal proper intervals, the blocks over its simple
+    skeleton.
     """
     n = len(pi)
     shortest = inner._shortest
@@ -135,6 +143,21 @@ def _profile_of(lows: list[int], n: int) -> Permutation:
     return _trusted([rank[v] for v in lows])
 
 
+def _deflation(pi: Sequence[int], ends: list[int], lows: list[int]) -> tuple:
+    # The root, the 1-based segments and the block patterns of the blocks
+    # of ``pi`` with these 0-based last positions and lows.  A block's
+    # values are consecutive, so its pattern is ``v - low + 1``.
+    starts = [0, *(e + 1 for e in ends[:-1])]
+    return (
+        _profile_of(lows, len(pi)),
+        tuple((s + 1, e + 1) for s, e in zip(starts, ends)),
+        tuple(
+            _trusted([w - low + 1 for w in pi[s : e + 1]])
+            for s, e, low in zip(starts, ends, lows)
+        ),
+    )
+
+
 def left_greedy_profile(pi: Sequence[int], inner: PermClass) -> ProfileDecomposition:
     """Contract blocks greedily from the left.
 
@@ -157,16 +180,7 @@ def left_greedy_profile(pi: Sequence[int], inner: PermClass) -> ProfileDecomposi
             "the block class excludes the one-point permutation; "
             "nothing can be deflated by it"
         )
-    ends, lows = _greedy_blocks(pi, inner, False)
-    starts = [0, *(e + 1 for e in ends[:-1])]
-    return ProfileDecomposition(
-        _profile_of(lows, len(pi)),
-        tuple((s + 1, e + 1) for s, e in zip(starts, ends)),
-        tuple(
-            _trusted([w - low + 1 for w in pi[s : e + 1]])
-            for s, e, low in zip(starts, ends, lows)
-        ),
-    )
+    return ProfileDecomposition(*_deflation(pi, *_greedy_blocks(pi, inner, False)))
 
 
 def wreath_member(pi: Sequence[int], outer: PermClass, inner: PermClass) -> bool:

@@ -2,16 +2,25 @@ import itertools
 
 import pytest
 
+from permwreath.basis_search import FAMILIES, antichain_member
 from permwreath.decomposition import (
     INDECOMPOSABLE_BOTH,
     SKEW_DECOMPOSABLE,
     SUM_DECOMPOSABLE,
+    SubstitutionDecomposition,
     is_simple,
     skeleton,
     substitution_decomposition,
     sum_skew_status,
 )
-from permwreath.perm_core import inflate, involves, reduce
+from permwreath.perm_core import (
+    decreasing,
+    identity,
+    inflate,
+    interval_end_table,
+    involves,
+    reduce,
+)
 
 from conftest import p, perms_of_length, perms_up_to
 
@@ -126,6 +135,48 @@ class TestSubstitutionDecomposition:
                 if is_simple(skel) and len(skel) >= 4
             ]
             assert found == [d.block_segments]
+
+
+def frozen_decomposition(pi):
+    """The decomposition as it was computed before it shared the greedy
+    deflation kernel: prefix cuts for sums and skew sums, otherwise the
+    longest proper interval from each start, read off the interval end
+    table, with every skeleton and block reduced."""
+    n = len(pi)
+    if n == 1:
+        return SubstitutionDecomposition(pi, ((1, 1),), (pi,))
+    prefix_max = list(itertools.accumulate(pi, max))
+    prefix_min = list(itertools.accumulate(pi, min))
+    sum_cuts = [k for k in range(1, n) if prefix_max[k - 1] == k]
+    skew_cuts = [k for k in range(1, n) if prefix_min[k - 1] == n - k + 1]
+    cuts = sum_cuts or skew_cuts
+    if cuts:
+        bounds = [0] + cuts + [n]
+        segs = [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
+        skel = (identity if sum_cuts else decreasing)(len(segs))
+    else:
+        ends = interval_end_table(pi)
+        segs = []
+        s = 1
+        while s <= n:
+            e = max(e for e in ends[s] if e - s < n - 1)
+            segs.append((s, e))
+            s = e + 1
+        skel = reduce([pi[s - 1] for s, _ in segs])
+    patterns = tuple(reduce(pi[s - 1 : e]) for s, e in segs)
+    return SubstitutionDecomposition(skel, tuple(segs), patterns)
+
+
+class TestFrozenDecomposition:
+    def test_matches_on_every_short_permutation(self):
+        for pi in perms_up_to(8):
+            assert substitution_decomposition(pi) == frozen_decomposition(pi), pi
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_matches_on_long_family_members(self, name):
+        for k in range(1, 61):
+            pi = antichain_member(FAMILIES[name], k)
+            assert substitution_decomposition(pi) == frozen_decomposition(pi), k
 
 
 class TestSkeleton:

@@ -95,6 +95,9 @@ def test_a_pin_outside_the_host_is_refused(pin):
         member(p("12"), av(21), pin=pin)
     with pytest.raises(ValueError, match="not a position"):
         member(p("12"), av(321), pin=pin)
+    # A class with an empty basis runs no search, and refuses it too.
+    with pytest.raises(ValueError, match="not a position"):
+        member(p("12"), av(), pin=pin)
 
 
 def test_a_pinned_member_call_skips_the_memo():

@@ -15,6 +15,10 @@ lines through ``cli.execute``:
   each inner class the family defeats;
 * ``pins reach`` (both sides), ``minblock``, ``decompose`` and
   ``profile --blocks`` on those members;
+* ``decompose`` and ``skeleton`` of every permutation of length <= 5
+  and of the sum-, skew- and simply-decomposable hosts in
+  ``DECOMPOSED``, since every family member above is indecomposable
+  both ways;
 * a ``--json`` copy of some of the above.
 
 The exit code, the stdout and the store's bytes of each invocation are
@@ -27,6 +31,7 @@ the standard library is used.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -57,6 +62,10 @@ BASIS_PAIRS = [
 #: Family members 1..FAMILY_K are verified and taken apart.
 FAMILY_K = 4
 
+#: Permutations of length up to SHORT_N are decomposed, and so are these.
+SHORT_N = 5
+DECOMPOSED = ["217968543", "456123", "123456", "346215"]
+
 
 def invocations() -> list[list[str]]:
     """The command lines, built from the registry and families of the
@@ -84,6 +93,13 @@ def invocations() -> list[list[str]]:
                 runs.append(["minblock", text, str(i), str(j)])
             runs.append(["decompose", text])
             runs.append(["profile", text, "--y", class_literal(fam.inner), "--blocks"])
+    short = [
+        "".join(map(str, pi))
+        for n in range(1, SHORT_N + 1)
+        for pi in itertools.permutations(range(1, n + 1))
+    ]
+    for text in short + DECOMPOSED:
+        runs += [["decompose", text], ["skeleton", text]]
     return runs + [["--json", *argv] for argv in runs[::7]]
 
 
