@@ -45,11 +45,12 @@ from .perm_core import (
     ONE,
     CapExceeded,
     Permutation,
+    _matches,
     _trusted,
     delete_point,
     involves,
 )
-from .profile import _greedy_blocks, _profile_of, wreath_member
+from .profile import _greedy_blocks, _in_product, _profile_of, wreath_member
 
 #: Bound on the length of exhaustive basis enumeration.
 BASIS_CAP = 10
@@ -298,9 +299,17 @@ class VerifyResult:
         return self.ok
 
 
-def _live(cls: PermClass, pi: Permutation) -> PermClass:
-    """The class whose basis is the elements of ``cls.basis`` that ``pi`` involves."""
-    return PermClass(tuple(b for b in cls.basis if involves(b, pi)))
+def _live(cls: PermClass, pi: Permutation, found: list | None = None) -> PermClass:
+    """The class whose basis is the elements of ``cls.basis`` that ``pi`` involves.
+
+    With ``found``, an empty list, the search that finds the first live
+    element also writes the values of its occurrence into it.
+    """
+    live: list[Permutation] = []
+    for b in cls.basis:
+        if _matches(b, pi, 1, None, None if live else found):
+            live.append(b)
+    return PermClass(tuple(live))
 
 
 def verify_basis_element(
@@ -324,15 +333,29 @@ def verify_basis_element(
     basis is the class of all permutations, and a block class that
     excludes the point keeps the point live, since every ``pi`` involves
     it.
+
+    The search that finds the live block basis also hands back one
+    occurrence W in ``pi`` of a live block basis element beta.  Then pi
+    lies outside the cut block class, and so does each deletion at a
+    position outside W, since it keeps W and so involves beta.  Their
+    greedy passes take the promise ``outside_inner`` of
+    ``profile._greedy_blocks``: none grows its first block to the whole
+    host, so none tests or memoises it.  Only the at most len(beta)
+    deletions at W's positions, and every host when ``pi`` avoids the
+    block basis, run the pass without it.  The blocks, and so the
+    verdict, are the same either way.
     """
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
-    outer, inner = _live(outer, pi), _live(inner, pi)
-    if wreath_member(pi, outer, inner):
+    occurrence: list[int] = []
+    outer, inner = _live(outer, pi), _live(inner, pi, occurrence)
+    w_positions = {pi.index(v) + 1 for v in occurrence}
+    outside = bool(w_positions)
+    if _in_product(pi, outer, inner, outside):
         return VerifyResult(False, "the permutation is a member of the product")
     if len(pi) > 1:
         for pos in range(1, len(pi) + 1):
             d = delete_point(pi, pos)
-            if not wreath_member(d, outer, inner):
+            if not _in_product(d, outer, inner, outside and pos not in w_positions):
                 return VerifyResult(
                     False,
                     f"deleting position {pos} leaves a non-member",

@@ -238,28 +238,42 @@ def _pinned_first(sigma: Sequence[int], host: tuple, pin: int) -> tuple[tuple, t
 
 
 def _matches(
-    sigma: Sequence[int], pi: Sequence[int], limit: int | None, pin: int | None = None
+    sigma: Sequence[int],
+    pi: Sequence[int],
+    limit: int | None,
+    pin: int | None = None,
+    found: list | None = None,
 ) -> int:
     # The one pattern search, argued in :func:`involves`: the number of
     # occurrences of sigma in pi, or ``limit`` as soon as the count
     # reaches it (None: no limit).  With ``pin``, the 0-based position of
     # an extreme point of pi, only the occurrences through that point
     # count, and a pin outside pi is refused before anything else, so
-    # no early return lets one through.  Entry t scans the positions of
-    # pi with one iterator and keeps its value window [lo_v, hi_v] and
-    # role; the stack holds the same for each earlier entry, with the
-    # count before its candidate.  A candidate scans for the next entry's
-    # first candidate and descends only if there is one; the last entry's
-    # candidates are counted in that scan, with no slot of their own.
+    # no early return lets one through.  With ``found``, a list, a search
+    # that stops at ``limit`` writes into it the values of the occurrence
+    # it stopped at, in the host's order; one that runs out leaves it as
+    # it was.  Only an unpinned search reports, since a pinned one reads
+    # a turned host.  Entry t scans the positions of pi with one iterator
+    # and keeps its value window [lo_v, hi_v] and role; the stack holds
+    # the same for each earlier entry, with the count before its
+    # candidate.  A candidate scans for the next entry's first candidate
+    # and descends only if there is one; the last entry's candidates are
+    # counted in that scan, with no slot of their own.
     host = tuple(pi)
     k, n = len(sigma), len(host)
-    if pin is not None and not 0 <= pin < n:
-        raise ValueError(f"pin {pin} is not a position of a host of length {n}")
+    if pin is not None:
+        if not 0 <= pin < n:
+            raise ValueError(f"pin {pin} is not a position of a host of length {n}")
+        if found is not None:
+            raise ValueError("a pinned search reports no occurrence")
     if k > n:
         return 0
     if k < 2:
         # The empty pattern occurs once, and never through a pin; a point
-        # occurs n times, and once through a pin.
+        # occurs n times, and once through a pin.  A point reports the
+        # first point, where a limit of 1 stops.
+        if k and found is not None:
+            found[:] = host[:1]
         return k if pin is not None else n if k else 1
     if pin is None:
         table = _pattern_table(tuple(sigma))
@@ -291,6 +305,9 @@ def _matches(
                                 break
                             count += 1
                             if count == limit:
+                                if found is not None:
+                                    found[:] = chosen[: t + 1]
+                                    found.append(v)
                                 return count
                     else:
                         break

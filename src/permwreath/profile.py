@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .avoidance import PermClass, member
+from .avoidance import PermClass, _in_class, member
 from .perm_core import (
     CapExceeded,
     Permutation,
@@ -78,17 +78,24 @@ def _greedy_blocks(
 
     Any other block pattern goes to ``in_inner``, the caller's test of
     ``inner`` membership.  It defaults to the membership memo, which
-    :func:`wreath_member` and :func:`left_greedy_profile` use.  The
-    basis scan passes the membership test of its set of ``inner``'s
-    permutations shorter than the length it scans, which answers every
-    block it lets this loop test (rule (e) of
+    :func:`wreath_member` and :func:`left_greedy_profile` use, except
+    for the whole host: a pass tests it at most once, so it goes to the
+    unmemoised ``avoidance._in_class`` rather than fill the memo with an
+    entry that is seldom read again.  The basis scan passes the
+    membership test of its set of ``inner``'s permutations shorter than
+    the length it scans, which answers every block it lets this loop
+    test (rule (e) of
     :func:`~permwreath.basis_search.basis_elements_of_length`).
 
     With ``outside_inner`` the caller vouches that the whole host lies
     outside ``inner``.  The whole host is the last segment the first
     block could test, and that test would fail, so the first block
     stops one position short of the end and never runs it.  The blocks
-    are the same; a false promise gives a wrong answer.
+    are the same; a false promise gives a wrong answer.  The basis scan
+    passes it for a parent outside ``inner`` and for every child it
+    tests, and :func:`~permwreath.basis_search.verify_basis_element` for
+    its host and each deletion that keeps an occurrence of a basis
+    element of ``inner`` it found in the host.
 
     :func:`~permwreath.decomposition.substitution_decomposition` passes
     the class ``PermClass(())`` with the hint.  Its empty basis means no
@@ -118,9 +125,11 @@ def _greedy_blocks(
             if span == e - s:
                 if span >= shortest - 1:
                     block = _trusted([w - lo + 1 for w in pi[s : e + 1]])
-                    if not (
-                        member(block, inner) if in_inner is None else in_inner(block)
-                    ):
+                    if in_inner is not None:
+                        inside = in_inner(block)
+                    else:  # the whole host makes no memo entry
+                        inside = (_in_class if span == n - 1 else member)(block, inner)
+                    if not inside:
                         break
                 end, low = e, lo
             elif span > reach:
@@ -194,9 +203,18 @@ def wreath_member(pi: Sequence[int], outer: PermClass, inner: PermClass) -> bool
     False
     """
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
+    return _in_product(pi, outer, inner, False)
+
+
+def _in_product(
+    pi: Permutation, outer: PermClass, inner: PermClass, outside_inner: bool
+) -> bool:
+    # The test of :func:`wreath_member`, with the promise of
+    # ``_greedy_blocks`` that ``pi`` lies outside ``inner`` when the
+    # caller can make it.
     if inner._shortest == 1:
         return False  # no blocks available: the product is empty
-    _, lows = _greedy_blocks(pi, inner, False)
+    _, lows = _greedy_blocks(pi, inner, outside_inner)
     return member(_profile_of(lows, len(pi)), outer)
 
 

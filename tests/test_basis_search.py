@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from permwreath import basis_search, profile
+from permwreath import avoidance, basis_search, profile
 from permwreath.avoidance import av, class_literal, enumerate_members, member, named
 from permwreath.basis_search import (
     FAMILIES,
@@ -225,6 +225,22 @@ class TestVerifyBasisElement:
                 beta = antichain_member(name, k)
                 assert verify_basis_element(beta, fam.outer, fam.inner).ok, (name, k)
 
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_no_host_is_tested_whole_through_the_memo(self, name, monkeypatch):
+        # The host and the deletions outside the occurrence are never
+        # tested whole; the deletions at its positions are, past the memo.
+        asked = []
+        real = avoidance._member
+        monkeypatch.setattr(
+            avoidance, "_member", lambda pi, cls: asked.append((pi, cls)) or real(pi, cls)
+        )
+        fam = FAMILIES[name]
+        beta = antichain_member(name, 3)
+        assert verify_basis_element(beta, fam.outer, fam.inner).ok
+        live = basis_search._live(fam.inner, beta)
+        blocks = [pi for pi, cls in asked if cls == live]
+        assert blocks and max(map(len, blocks)) < len(beta) - 1
+
     @pytest.mark.parametrize(
         "name, k, points", [("widdershins-2143", 20, 87), ("widdershins-2413", 25, 105)]
     )
@@ -258,12 +274,17 @@ class TestVerifyMatchesFullClasses:
     """The live-basis cut leaves every field of the verdict unchanged."""
 
     def test_every_short_permutation(self):
+        # The last two pairs put the verification's occurrence to work: a
+        # block class of two basis elements, and one whose deletions at
+        # the occurrence's positions fall back into it.
         pairs = (
             (av(25134), av(321)),
             (av(321), av(21)),
             (av(1), av(21)),
             (av(21), av(1)),
             (av(), av(321)),
+            (av(25134), av(321, 3412)),
+            (av(21), av(123)),
         )
         for outer, inner in pairs:
             for pi in perms_up_to(7):

@@ -12,6 +12,7 @@ from permwreath.perm_core import (
     _FREE,
     _LOWER,
     _UPPER,
+    _matches,
     _pattern_table,
     CapExceeded,
     Permutation,
@@ -316,6 +317,51 @@ class TestInvolvesMatchesFrozenBacktracker:
                 assert verdict == _frozen_involves(sigma, beta), (sigma, name, k)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+class TestReportedOccurrence:
+    """A search that stops at its limit hands back the occurrence it
+    stopped at: its values lie in the host in that order and reduce to
+    the pattern.  A search that finds nothing reports nothing."""
+
+    PATTERNS = tuple(sigma for sigma in perms_up_to(5) if len(sigma) > 1)
+
+    def check_host(self, pi):
+        inside = {
+            reduce(combo)
+            for k in range(2, min(5, len(pi)) + 1)
+            for combo in itertools.combinations(pi, k)
+        }
+        for sigma in self.PATTERNS:
+            found = []
+            count = _matches(sigma, pi, 1, None, found)
+            if sigma in inside:
+                positions = [pi.index(v) for v in found]
+                assert count == 1, (sigma, pi)
+                assert len(positions) == len(sigma), (sigma, pi, found)
+                assert positions == sorted(set(positions)), (sigma, pi, found)
+                assert reduce(found) == sigma, (sigma, pi, found)
+            else:
+                assert (count, found) == (0, []), (sigma, pi)
+
+    def test_every_short_host(self):
+        for pi in perms_up_to(6):
+            self.check_host(pi)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_seeded_hosts(self, n):
+        rng = random.Random(1900 + n)
+        for _ in range(60):
+            self.check_host(Permutation(rng.sample(range(1, n + 1), n)))
+
+    def test_a_point_reports_the_first_point(self):
+        found = []
+        assert _matches(p("1"), p("312"), 1, None, found) == 3
+        assert found == [3]
+
+    def test_a_pinned_search_reports_nothing(self):
+        with pytest.raises(ValueError, match="reports no occurrence"):
+            _matches(p("21"), p("312"), 1, 0, [])
 
 
 class TestOccurrences:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permwreath import avoidance
 from permwreath.avoidance import av, class_literal, member, named
 from permwreath.basis_search import FAMILIES
 from permwreath.decomposition import skeleton
@@ -240,6 +241,17 @@ class TestGreedyBlocksKernel:
         pi = p(",".join(map(str, vals)))
         if not member(pi, inner):
             assert _greedy_blocks(pi, inner, True) == _greedy_blocks(pi, inner, False)
+
+    def test_the_whole_host_is_tested_past_the_memo(self, monkeypatch):
+        # 13254 is one av(321) block, so the pass tests its blocks 132 and
+        # 13254; only the shorter one goes through the memo.
+        asked = []
+        real = avoidance._member
+        monkeypatch.setattr(
+            avoidance, "_member", lambda pi, cls: asked.append(pi) or real(pi, cls)
+        )
+        assert wreath_member(p("13254"), av(21), av(321))
+        assert p("132") in asked and p("13254") not in asked
 
     @pytest.mark.parametrize("inner", SCAN_INNERS, ids=class_literal)
     def test_a_child_keeps_its_parents_profile_or_gains_blocks(self, inner):

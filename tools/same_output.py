@@ -11,8 +11,11 @@ lines through ``cli.execute``:
   pairs the basis scan's child-aware pass is tested on to length 7,
   each with a fresh temporary store;
 * ``pin-probe --pin-cap 20`` of every registry class;
-* ``verify-basis`` of each antichain family member with k <= 4, against
-  each inner class the family defeats;
+* ``verify-basis`` of each antichain family member with k <= 4, and of
+  that member with one point inserted at its middle (not minimal, so
+  the verdict names a deletion), against each inner class the family
+  defeats, and of the member less its first point, a member of the
+  product, against the family's first inner class;
 * ``pins reach`` (both sides), ``minblock``, ``decompose`` and
   ``profile --blocks`` on those members;
 * ``decompose`` and ``skeleton`` of every permutation of length <= 5
@@ -72,6 +75,7 @@ def invocations() -> list[list[str]]:
     ``permwreath`` that is imported."""
     from permwreath.avoidance import REGISTRY, class_literal
     from permwreath.basis_search import FAMILIES, antichain_member
+    from permwreath.perm_core import delete_point
 
     pairs = BASIS_PAIRS + [
         (class_literal(fam.outer), class_literal(fam.inner), 7)
@@ -85,8 +89,15 @@ def invocations() -> list[list[str]]:
         for k in range(1, FAMILY_K + 1):
             pi = antichain_member(fam, k)
             text, n = str(pi), len(pi)
+            m = n // 2
+            vals = [v + 1 if v >= m else v for v in pi]
+            longer = " ".join(map(str, vals[: m - 1] + [m] + vals[m - 1 :]))
             for inner in map(class_literal, fam.inners):
-                runs.append(["verify-basis", text, "--x", outer, "--y", inner])
+                for host in (text, longer):
+                    runs.append(["verify-basis", host, "--x", outer, "--y", inner])
+            shorter = str(delete_point(pi, 1))
+            inner = class_literal(fam.inner)
+            runs.append(["verify-basis", shorter, "--x", outer, "--y", inner])
             for i, j in ((1, 2), (2, n), (1, n)):
                 for side in ("right", "left"):
                     runs.append(["pins", "reach", text, str(i), str(j), "--side", side])
