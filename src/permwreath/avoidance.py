@@ -31,8 +31,12 @@ from .perm_core import (
 #: Bound on the length of exhaustive enumeration of class members.
 ENUM_CAP = 10
 
-#: Entries kept by the membership memo (it is consulted heavily by the
-#: deflation scans, which re-test many overlapping segments).
+#: Entries kept by the membership memo.  Its main traffic is the greedy
+#: passes of ``wreath_member`` and ``left_greedy_profile``, whose blocks
+#: and whole hosts recur across one host's deletions and across inner
+#: classes that cut to one live basis, the profiles that every pass
+#: tests against the outer class, and the ``all_deflations`` oracle.  The
+#: basis scan answers its block tests from its own layers.
 MEMBER_CACHE_SIZE = 1 << 20
 
 
@@ -105,7 +109,11 @@ def av(*patterns, name: str | None = None) -> PermClass:
 
 def _in_class(pi: Sequence[int], cls: PermClass, pin: int | None = None) -> bool:
     # The one class test, unmemoised: for a host that is tested once,
-    # a memo entry would only be written and never read.  With ``pin``
+    # a memo entry would only be written and never read.  Its callers
+    # outside the memo are the pinned tests (``member`` with a pin, and
+    # the downset grower, whose rows the basis scan reads) and the scan's
+    # whole test of a child that is its own profile (rule (e) of
+    # ``basis_search.basis_elements_of_length``).  With ``pin``
     # it looks only for occurrences through that extreme point (see
     # ``member``).  A pin outside ``pi`` is refused here, as the search
     # refuses it, so that a class with an empty basis refuses it too.

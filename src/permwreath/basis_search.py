@@ -184,8 +184,10 @@ def basis_elements_of_length(
         whole host is tested once and never memoised: against ``inner``
         in (d), its verdict going into the returned set, and against
         ``outer`` when the child has n blocks, since a child of
-        singleton blocks is its own profile.  When the point is not in
-        the product, no pass has parents and nothing is tested.
+        singleton blocks is its own profile.  No later test reads such a
+        verdict: memoising the singleton-block children raised the
+        length-8 scan's peak RSS by about 0.38 MB.  When the point is
+        not in the product, no pass has parents and nothing is tested.
 
     Returns the basis elements of length n in lexicographic order, the
     set of length-n members (the next pass's ``parents``) and the
@@ -302,14 +304,16 @@ class VerifyResult:
 def _live(cls: PermClass, pi: Permutation, found: list | None = None) -> PermClass:
     """The class whose basis is the elements of ``cls.basis`` that ``pi`` involves.
 
-    With ``found``, an empty list, the search that finds the first live
+    When ``pi`` involves them all, that is ``cls`` itself, and no new
+    class is built for the membership memo's keys to hold.  With
+    ``found``, an empty list, the search that finds the first live
     element also writes the values of its occurrence into it.
     """
     live: list[Permutation] = []
     for b in cls.basis:
         if _matches(b, pi, 1, None, None if live else found):
             live.append(b)
-    return PermClass(tuple(live))
+    return cls if len(live) == len(cls.basis) else PermClass(tuple(live))
 
 
 def verify_basis_element(
@@ -340,10 +344,12 @@ def verify_basis_element(
     position outside W, since it keeps W and so involves beta.  Their
     greedy passes take the promise ``outside_inner`` of
     ``profile._greedy_blocks``: none grows its first block to the whole
-    host, so none tests or memoises it.  Only the at most len(beta)
-    deletions at W's positions, and every host when ``pi`` avoids the
-    block basis, run the pass without it.  The blocks, and so the
-    verdict, are the same either way.
+    host, so none tests it.  Only the at most len(beta) deletions at W's
+    positions, and every host when ``pi`` avoids the block basis, run
+    the pass without it, and test a whole host through the membership
+    memo: a family's inner classes often cut to one live basis, so
+    verifying a member against each of them asks the same deletions
+    again.  The blocks, and so the verdict, are the same either way.
     """
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
     occurrence: list[int] = []

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .avoidance import PermClass, _in_class, member
+from .avoidance import PermClass, member
 from .perm_core import (
     CapExceeded,
     Permutation,
@@ -78,10 +78,11 @@ def _greedy_blocks(
 
     Any other block pattern goes to ``in_inner``, the caller's test of
     ``inner`` membership.  It defaults to the membership memo, which
-    :func:`wreath_member` and :func:`left_greedy_profile` use, except
-    for the whole host: a pass tests it at most once, so it goes to the
-    unmemoised ``avoidance._in_class`` rather than fill the memo with an
-    entry that is seldom read again.  The basis scan passes the
+    :func:`wreath_member` and :func:`left_greedy_profile` use for every
+    block, the whole host included: verification tests one host's
+    deletions against each inner class its family defeats, and those
+    classes often cut to the same live basis, so a whole deletion is
+    asked again.  The basis scan passes the
     membership test of its set of ``inner``'s permutations shorter than
     the length it scans, which answers every block it lets this loop
     test (rule (e) of
@@ -125,11 +126,7 @@ def _greedy_blocks(
             if span == e - s:
                 if span >= shortest - 1:
                     block = _trusted([w - lo + 1 for w in pi[s : e + 1]])
-                    if in_inner is not None:
-                        inside = in_inner(block)
-                    else:  # the whole host makes no memo entry
-                        inside = (_in_class if span == n - 1 else member)(block, inner)
-                    if not inside:
+                    if not (in_inner(block) if in_inner else member(block, inner)):
                         break
                 end, low = e, lo
             elif span > reach:
@@ -233,16 +230,6 @@ def all_deflations(pi: Sequence[int], inner: PermClass) -> set[Permutation]:
             f"deflation scan of length {n} exceeds the cap {DEFLATION_CAP}"
         )
     ends = interval_end_table(pi)
-    pattern_cache: dict[tuple[int, int], Permutation] = {}
-
-    def seg_pattern(s: int, e: int) -> Permutation:
-        key = (s, e)
-        pat = pattern_cache.get(key)
-        if pat is None:
-            pat = reduce(pi[s - 1 : e])
-            pattern_cache[key] = pat
-        return pat
-
     out: set[Permutation] = set()
     reps: list[int] = []
 
@@ -251,7 +238,10 @@ def all_deflations(pi: Sequence[int], inner: PermClass) -> set[Permutation]:
             out.add(reduce(reps))
             return
         for e in ends[s]:
-            if member(seg_pattern(s, e), inner):
+            # A segment is an interval, so its pattern is ``v - low + 1``.
+            seg = pi[s - 1 : e]
+            low = min(seg)
+            if member(_trusted([v - low + 1 for v in seg]), inner):
                 reps.append(pi[s - 1])
                 go(e + 1)
                 reps.pop()

@@ -226,9 +226,12 @@ class TestVerifyBasisElement:
                 assert verify_basis_element(beta, fam.outer, fam.inner).ok, (name, k)
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
-    def test_no_host_is_tested_whole_through_the_memo(self, name, monkeypatch):
-        # The host and the deletions outside the occurrence are never
-        # tested whole; the deletions at its positions are, past the memo.
+    def test_only_deletions_at_the_occurrence_are_tested_whole(
+        self, name, monkeypatch
+    ):
+        # The host and the deletions outside the occurrence W are never
+        # tested whole against the live block class; some deletions at W's
+        # positions are, through the memo.
         asked = []
         real = avoidance._member
         monkeypatch.setattr(
@@ -237,9 +240,39 @@ class TestVerifyBasisElement:
         fam = FAMILIES[name]
         beta = antichain_member(name, 3)
         assert verify_basis_element(beta, fam.outer, fam.inner).ok
-        live = basis_search._live(fam.inner, beta)
+        occurrence = []
+        live = basis_search._live(fam.inner, beta, occurrence)
+        at_w = {delete_point(beta, beta.index(v) + 1) for v in occurrence}
         blocks = [pi for pi, cls in asked if cls == live]
-        assert blocks and max(map(len, blocks)) < len(beta) - 1
+        whole = {pi for pi in blocks if len(pi) == len(beta) - 1}
+        assert max(map(len, blocks)) < len(beta)
+        assert whole and whole <= at_w
+
+    def test_classes_with_one_live_basis_share_the_whole_deletions(
+        self, monkeypatch
+    ):
+        # thm6 members avoid 2341, so av(321) and av(321, 2341) both cut to
+        # the live block basis {321}: the second verification finds every
+        # whole deletion it asks in the memo.
+        beta = antichain_member("thm6", 3)
+        outer = FAMILIES["thm6"].outer
+        assert verify_basis_element(beta, outer, named("av321")).ok
+        real = avoidance._member
+        asked, missed = [], []
+
+        def spy(pi, cls):
+            misses = real.cache_info().misses
+            verdict = real(pi, cls)
+            asked.append((pi, cls))
+            if real.cache_info().misses > misses:
+                missed.append(pi)
+            return verdict
+
+        monkeypatch.setattr(avoidance, "_member", spy)
+        assert verify_basis_element(beta, outer, named("av321-2341")).ok
+        n = len(beta)
+        assert any(len(pi) == n - 1 and cls == av(321) for pi, cls in asked)
+        assert not any(len(pi) == n - 1 for pi in missed)
 
     @pytest.mark.parametrize(
         "name, k, points", [("widdershins-2143", 20, 87), ("widdershins-2413", 25, 105)]

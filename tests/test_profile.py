@@ -242,16 +242,23 @@ class TestGreedyBlocksKernel:
         if not member(pi, inner):
             assert _greedy_blocks(pi, inner, True) == _greedy_blocks(pi, inner, False)
 
-    def test_the_whole_host_is_tested_past_the_memo(self, monkeypatch):
+    def test_the_whole_host_is_tested_through_the_memo(self, monkeypatch):
         # 13254 is one av(321) block, so the pass tests its blocks 132 and
-        # 13254; only the shorter one goes through the memo.
+        # 13254, both through the memo; a second pass finds every verdict
+        # there.
+        host, outer, inner = p("13254"), av(21), av(321)
+        assert wreath_member(host, outer, inner)
         asked = []
         real = avoidance._member
         monkeypatch.setattr(
             avoidance, "_member", lambda pi, cls: asked.append(pi) or real(pi, cls)
         )
-        assert wreath_member(p("13254"), av(21), av(321))
-        assert p("132") in asked and p("13254") not in asked
+        before = real.cache_info()
+        assert wreath_member(host, outer, inner)
+        after = real.cache_info()
+        assert p("132") in asked and host in asked
+        assert after.misses == before.misses
+        assert after.hits - before.hits == len(asked)
 
     @pytest.mark.parametrize("inner", SCAN_INNERS, ids=class_literal)
     def test_a_child_keeps_its_parents_profile_or_gains_blocks(self, inner):
@@ -283,8 +290,10 @@ class TestAllDeflations:
             all_deflations(p("10 1 8 4 6 9 11 7 5 2 3"), av(21))
 
     def test_matches_mask_enumeration(self):
+        # Two family inner classes join the standard ones: a block class of
+        # two basis elements, one of them of length 4.
         for pi in perms_up_to(6):
-            for inner in STANDARD_CLASSES:
+            for inner in (*STANDARD_CLASSES, av(321, 3412), av(4321, 4123)):
                 assert all_deflations(pi, inner) == deflations_by_mask(pi, inner)
 
 

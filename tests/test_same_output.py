@@ -42,7 +42,7 @@ def test_the_tree_against_itself_is_identical(self_run):
     commands = {argv[0] for argv, *_ in parent}
     assert commands == {
         "basis", "pin-probe", "verify-basis", "pins", "minblock", "decompose",
-        "profile", "skeleton", "--json",
+        "profile", "skeleton", "wreath-member", "deflations", "--json",
     }
     # Every basis run wrote its store; no other command has one.
     empty = same_output._digest(b"")

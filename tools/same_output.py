@@ -11,10 +11,11 @@ lines through ``cli.execute``:
   pairs the basis scan's child-aware pass is tested on to length 7,
   each with a fresh temporary store;
 * ``pin-probe --pin-cap 20`` of every registry class;
-* ``verify-basis`` of each antichain family member with k <= 4, and of
-  that member with one point inserted at its middle (not minimal, so
-  the verdict names a deletion), against each inner class the family
-  defeats, and of the member less its first point, a member of the
+* ``verify-basis`` and ``wreath-member`` of each antichain family
+  member with k <= 4, and of that member with one point inserted at its
+  middle (not minimal, so the verdict names a deletion), against the
+  family's outer class and each inner class the family defeats, and
+  ``verify-basis`` of the member less its first point, a member of the
   product, against the family's first inner class;
 * ``pins reach`` (both sides), ``minblock``, ``decompose`` and
   ``profile --blocks`` on those members;
@@ -22,6 +23,8 @@ lines through ``cli.execute``:
   and of the sum-, skew- and simply-decomposable hosts in
   ``DECOMPOSED``, since every family member above is indecomposable
   both ways;
+* ``deflations`` of every permutation of length <= 5 against each
+  block class in ``DEFLATION_CLASSES``;
 * a ``--json`` copy of some of the above.
 
 The exit code, the stdout and the store's bytes of each invocation are
@@ -69,6 +72,9 @@ FAMILY_K = 4
 SHORT_N = 5
 DECOMPOSED = ["217968543", "456123", "123456", "346215"]
 
+#: The block classes the short permutations are deflated by.
+DEFLATION_CLASSES = ["av(21)", "av(123)", "av(321)", "av(3412,2413)"]
+
 
 def invocations() -> list[list[str]]:
     """The command lines, built from the registry and families of the
@@ -95,6 +101,7 @@ def invocations() -> list[list[str]]:
             for inner in map(class_literal, fam.inners):
                 for host in (text, longer):
                     runs.append(["verify-basis", host, "--x", outer, "--y", inner])
+                    runs.append(["wreath-member", host, "--x", outer, "--y", inner])
             shorter = str(delete_point(pi, 1))
             inner = class_literal(fam.inner)
             runs.append(["verify-basis", shorter, "--x", outer, "--y", inner])
@@ -111,6 +118,8 @@ def invocations() -> list[list[str]]:
     ]
     for text in short + DECOMPOSED:
         runs += [["decompose", text], ["skeleton", text]]
+    for y in DEFLATION_CLASSES:
+        runs += [["deflations", text, "--y", y] for text in short]
     return runs + [["--json", *argv] for argv in runs[::7]]
 
 
