@@ -110,13 +110,18 @@ def av(*patterns, name: str | None = None) -> PermClass:
 def _in_class(pi: Sequence[int], cls: PermClass, pin: int | None = None) -> bool:
     # The one class test, unmemoised: for a host that is tested once,
     # a memo entry would only be written and never read.  Its callers
-    # outside the memo are the pinned tests (``member`` with a pin, and
-    # the downset grower, whose rows the basis scan reads) and the scan's
-    # whole test of a child that is its own profile (rule (e) of
-    # ``basis_search.basis_elements_of_length``).  With ``pin``
-    # it looks only for occurrences through that extreme point (see
-    # ``member``).  A pin outside ``pi`` is refused here, as the search
-    # refuses it, so that a class with an empty basis refuses it too.
+    # outside the memo are the pinned tests of the downset grower, whose
+    # rows the basis scan reads, and of the pin probe, which tests its
+    # two origin words whole here too, and the scan's whole test of a
+    # child that is its own profile (rule (e) of
+    # ``basis_search.basis_elements_of_length``).  ``pin``, a 0-based
+    # position, promises that the point there is an extreme of ``pi``
+    # (its first or last position, or its top or bottom value) and that
+    # ``pi`` less that point lies in ``cls``.  Then only an occurrence
+    # through the point can put ``pi`` outside, and only those are
+    # searched (see ``perm_core.involves``).  A pin outside ``pi`` is
+    # refused here, as the search refuses it, so that a class with an
+    # empty basis refuses it too.
     if pin is None:
         return not any(involves(b, pi) for b in cls.basis if len(b) <= len(pi))
     if not 0 <= pin < len(pi):
@@ -127,29 +132,17 @@ def _in_class(pi: Sequence[int], cls: PermClass, pin: int | None = None) -> bool
 _member = lru_cache(maxsize=MEMBER_CACHE_SIZE)(_in_class)
 
 
-def member(pi: Sequence[int], cls: PermClass, pin: int | None = None) -> bool:
+def member(pi: Sequence[int], cls: PermClass) -> bool:
     """True iff ``pi`` avoids every basis element of ``cls``.
 
     Memoised (bounded LRU); the cache is safe under concurrent readers
     and writers.
 
-    ``pin``, a 0-based position, promises that the point there is an
-    extreme of ``pi`` (its first or last position, or its top or bottom
-    value) and that ``pi`` less that point lies in ``cls``.  Then only
-    an occurrence through the point can put ``pi`` outside, and only
-    those are searched (see :func:`~permwreath.perm_core.involves`).
-    Such a call is a child's one test, so it skips the memo.  A pin
-    that is not a position of ``pi`` raises ``ValueError``.
-
     >>> member(Permutation((2, 5, 1, 3, 7, 6, 4)), av(321))
-    False
-    >>> member(Permutation((2, 5, 1, 3, 7, 6, 4)), av(321), pin=4)
     False
     """
     if not isinstance(pi, Permutation):
         pi = Permutation(pi)
-    if pin is not None:
-        return _in_class(pi, cls, pin)
     return _member(pi, cls)
 
 
@@ -170,7 +163,7 @@ def _children(mu: Sequence[int], cls: PermClass) -> Iterator[tuple]:
     unmemoised, since each child is a distinct host.  The caller
     promises that ``mu`` lies in ``cls``, so the test looks only for
     occurrences through n, the child's top value (the pinned test of
-    :func:`member`).  ``mu`` may be empty, whose one child is the point.
+    :func:`_in_class`).  ``mu`` may be empty, whose one child is the point.
     """
     n = len(mu) + 1
     for p in range(n):

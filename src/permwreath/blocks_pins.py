@@ -27,7 +27,8 @@ each axis's rank order.  The probe makes the same insertion on its
 parent word's realisation, so it grows each word's host in one step
 instead of realising the word again; the new pin is an extreme of the
 host, and the parent word is alive, so a child word is tested only for
-occurrences through its new pin.
+occurrences through its new pin: the pinned test of
+``avoidance._in_class``.
 
 The pin probe walks the words depth first, so it holds O(cap) words
 whatever the class, and it lists at most ``PROBE_WITNESSES`` survivors.
@@ -40,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .avoidance import PermClass, member
+from .avoidance import PermClass, _in_class
 from .perm_core import CapExceeded, Permutation, _inverse, _trusted, reduce
 
 LEFT = "left"
@@ -503,7 +504,8 @@ def pin_probe(inner: PermClass, cap: int) -> PinProbeResult:
     that makes the insertion :func:`pin_word_points` makes for the
     letter; only the two origins are realised whole.  The new pin is an
     extreme of the child, so a child is tested only for occurrences
-    through it (the pinned test of :func:`~permwreath.avoidance.member`).
+    through it.  Both tests are ``avoidance._in_class``, unmemoised,
+    as in the downset grower: pinned for a child, whole for an origin.
     Each word's children are pushed in reverse letter order, so the
     words of one length are met in the order a breadth-first search
     lists them.  The walk stops once ``PROBE_WITNESSES`` words of ``cap``
@@ -524,7 +526,7 @@ def pin_probe(inner: PermClass, cap: int) -> PinProbeResult:
     stack = [(o, "", pin_word_to_perm(PinWord(o)), 1) for o in ("21", "12")]
     while stack and len(witnesses) < PROBE_WITNESSES:
         origin, letters, host, pin = stack.pop()
-        if not member(host, inner, pin=pin if letters else None):
+        if not _in_class(host, inner, pin if letters else None):
             continue
         longest = max(longest, len(letters))
         if len(letters) == cap:

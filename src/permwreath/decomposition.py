@@ -52,23 +52,21 @@ class SubstitutionDecomposition:
     block_patterns: tuple[Permutation, ...]
 
 
-def _sum_cuts(pi: Sequence[int]) -> list[int]:
-    # Positions k < n where the first k entries are exactly {1..k}.
-    cuts = []
-    mx = 0
-    for k, v in enumerate(pi[:-1], start=1):
-        if v > mx:
-            mx = v
-        if mx == k:
-            cuts.append(k)
-    return cuts
-
-
-def _skew_cuts(pi: Sequence[int]) -> list[int]:
-    # Positions k < n where the first k entries are the top k values:
-    # the sum cuts of the complement.
+def _cuts(pi: Sequence[int]) -> tuple[str, list[int]]:
+    # The kind of ``pi`` with its cuts: the positions k < n where the
+    # first k entries are exactly {1..k} (sum cuts) or the top k values
+    # (skew cuts).  A permutation never has both kinds.
     n = len(pi)
-    return _sum_cuts([n + 1 - v for v in pi])
+    hi, lo, sums, skews = 0, n + 1, [], []
+    for k, v in enumerate(pi[:-1], start=1):
+        hi, lo = max(hi, v), min(lo, v)
+        if hi == k:
+            sums.append(k)
+        if lo == n + 1 - k:
+            skews.append(k)
+    if sums:
+        return SUM_DECOMPOSABLE, sums
+    return (SKEW_DECOMPOSABLE if skews else INDECOMPOSABLE_BOTH), skews
 
 
 def is_simple(pi: Sequence[int]) -> bool:
@@ -106,7 +104,7 @@ def substitution_decomposition(pi: Sequence[int]) -> SubstitutionDecomposition:
     if n == 1:
         return SubstitutionDecomposition(pi, ((1, 1),), (pi,))
 
-    cuts = _sum_cuts(pi) or _skew_cuts(pi)
+    cuts = _cuts(pi)[1]
     if cuts:
         # A block's values are consecutive, so its minimum is its low;
         # the lows of sum (skew) blocks rank to 1 2 .. t (t .. 2 1).
@@ -131,11 +129,10 @@ def skeleton(pi: Sequence[int]) -> Permutation:
     Permutation([2, 1])
     """
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
-    if _sum_cuts(pi):
-        return _trusted((1, 2))
-    if _skew_cuts(pi):
-        return _trusted((2, 1))
-    return substitution_decomposition(pi).skeleton
+    kind = _cuts(pi)[0]
+    if kind == INDECOMPOSABLE_BOTH:
+        return substitution_decomposition(pi).skeleton
+    return _trusted((1, 2) if kind == SUM_DECOMPOSABLE else (2, 1))
 
 
 def sum_skew_status(pi: Sequence[int]) -> str:
@@ -146,8 +143,4 @@ def sum_skew_status(pi: Sequence[int]) -> str:
     pi = pi if isinstance(pi, Permutation) else Permutation(pi)
     if len(pi) < 2:
         raise ValueError("decomposability needs length at least 2")
-    if _sum_cuts(pi):
-        return SUM_DECOMPOSABLE
-    if _skew_cuts(pi):
-        return SKEW_DECOMPOSABLE
-    return INDECOMPOSABLE_BOTH
+    return _cuts(pi)[0]

@@ -63,16 +63,6 @@ def _trusted(vals) -> Permutation:
 ONE = _trusted((1,))
 
 
-def identity(n: int) -> Permutation:
-    """The increasing permutation 1 2 ... n."""
-    return _trusted(range(1, n + 1))
-
-
-def decreasing(n: int) -> Permutation:
-    """The decreasing permutation n ... 2 1."""
-    return _trusted(range(n, 0, -1))
-
-
 def parse_perm(text: str, *, max_len: int = LENGTH_CAP) -> Permutation:
     """Parse a permutation from text.
 

@@ -313,15 +313,15 @@ def _frozen_probe(inner, cap):
 
 def spy_on_member(monkeypatch):
     """Count the probe's class tests as (host, pin) pairs; each still
-    goes through the module's ``member``."""
+    goes through the module's ``_in_class``."""
     tested = Counter()
-    test = blocks_pins.member
+    test = blocks_pins._in_class
 
     def spy(pi, cls, pin=None):
         tested[tuple(pi), pin] += 1
-        return test(pi, cls, pin=pin)
+        return test(pi, cls, pin)
 
-    monkeypatch.setattr(blocks_pins, "member", spy)
+    monkeypatch.setattr(blocks_pins, "_in_class", spy)
     return tested
 
 
@@ -446,25 +446,6 @@ class TestMinimalBlock:
                     assert _minimal_span(host, pos_of, i, j) == brute_minimal_block(
                         host, i, j
                     ), (name, k, i, j)
-
-    def test_nesting_and_equality(self):
-        for pi in perms_up_to(6):
-            n = len(pi)
-            if n < 2:
-                continue
-            pos_of = value_positions(pi)
-            spans = {
-                (i, j): _minimal_span(pi, pos_of, i, j)
-                for i in range(1, n)
-                for j in range(i + 1, n + 1)
-            }
-            for (i, j), (s, e) in spans.items():
-                for k in range(s, e + 1):
-                    for l in range(k + 1, e + 1):
-                        s2, e2 = spans[(k, l)]
-                        assert s <= s2 and e2 <= e
-                        if k <= i < j <= l:
-                            assert (s2, e2) == (s, e)
 
 
 class TestClassifyPins:

@@ -14,8 +14,7 @@ from permwreath.decomposition import (
     sum_skew_status,
 )
 from permwreath.perm_core import (
-    decreasing,
-    identity,
+    Permutation,
     inflate,
     interval_end_table,
     involves,
@@ -153,7 +152,8 @@ def frozen_decomposition(pi):
     if cuts:
         bounds = [0] + cuts + [n]
         segs = [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
-        skel = (identity if sum_cuts else decreasing)(len(segs))
+        t = len(segs)
+        skel = Permutation(range(1, t + 1) if sum_cuts else range(t, 0, -1))
     else:
         ends = interval_end_table(pi)
         segs = []

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from permwreath.avoidance import _member, av, member
+from permwreath.avoidance import _in_class, _member, av, member
 from permwreath.perm_core import _matches, _trusted, delete_point, involves, reduce
 
 from conftest import p, perms_up_to
@@ -92,17 +92,23 @@ def test_a_pin_outside_the_host_is_refused(pin):
         with pytest.raises(ValueError, match="not a position"):
             _matches(sigma, p("12"), 1, pin)
     with pytest.raises(ValueError, match="not a position"):
-        member(p("12"), av(21), pin=pin)
+        _in_class(p("12"), av(21), pin)
     with pytest.raises(ValueError, match="not a position"):
-        member(p("12"), av(321), pin=pin)
+        _in_class(p("12"), av(321), pin)
     # A class with an empty basis runs no search, and refuses it too.
     with pytest.raises(ValueError, match="not a position"):
-        member(p("12"), av(), pin=pin)
+        _in_class(p("12"), av(), pin)
 
 
-def test_a_pinned_member_call_skips_the_memo():
+def test_member_takes_no_pin():
+    # A pin is a promise that the host less the pinned point lies in the
+    # class; 213 less its 3 is 21, outside av(21), so a pinned answer
+    # here would be wrong.  The public, memoised test takes no promise.
+    with pytest.raises(TypeError):
+        member(p("213"), av(21), pin=2)
+    # The pinned test is the unmemoised ``_in_class``.
     before = _member.cache_info()
-    assert not member(p("2513764"), av(321), pin=4)
-    assert member(p("2513647"), av(321), pin=6)
+    assert not _in_class(p("2513764"), av(321), 4)
+    assert _in_class(p("2513647"), av(321), 6)
     after = _member.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from permwreath.blocks_pins import PIN_CAP
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "same_output.py"
 _spec = importlib.util.spec_from_file_location("same_output", TOOL)
@@ -44,6 +46,9 @@ def test_the_tree_against_itself_is_identical(self_run):
         "basis", "pin-probe", "verify-basis", "pins", "minblock", "decompose",
         "profile", "skeleton", "wreath-member", "deflations", "--json",
     }
+    # The probe runs at its deepest cap as well as at 20.
+    caps = {argv[-1] for argv, *_ in parent if argv[0] == "pin-probe"}
+    assert caps == {"20", str(PIN_CAP)}
     # Every basis run wrote its store; no other command has one.
     empty = same_output._digest(b"")
     for argv, _, _, store in parent:

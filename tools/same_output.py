@@ -10,7 +10,8 @@ lines through ``cli.execute``:
 * ``basis`` of ``av(25134) wr av(321)`` to length 8, and of the other
   pairs the basis scan's child-aware pass is tested on to length 7,
   each with a fresh temporary store;
-* ``pin-probe --pin-cap 20`` of every registry class;
+* ``pin-probe`` of every registry class at caps 20 and ``PIN_CAP``,
+  the deepest walk the probe accepts;
 * ``verify-basis`` and ``wreath-member`` of each antichain family
   member with k <= 4, and of that member with one point inserted at its
   middle (not minimal, so the verdict names a deletion), against the
@@ -81,6 +82,7 @@ def invocations() -> list[list[str]]:
     ``permwreath`` that is imported."""
     from permwreath.avoidance import REGISTRY, class_literal
     from permwreath.basis_search import FAMILIES, antichain_member
+    from permwreath.blocks_pins import PIN_CAP
     from permwreath.perm_core import delete_point
 
     pairs = BASIS_PAIRS + [
@@ -89,7 +91,11 @@ def invocations() -> list[list[str]]:
         if name != "thm6"
     ]
     runs = [["basis", "--x", x, "--y", y, "--max-len", str(n)] for x, y, n in pairs]
-    runs += [["pin-probe", "--y", name, "--pin-cap", "20"] for name in sorted(REGISTRY)]
+    runs += [
+        ["pin-probe", "--y", name, "--pin-cap", str(cap)]
+        for cap in (20, PIN_CAP)
+        for name in sorted(REGISTRY)
+    ]
     for fam in FAMILIES.values():
         outer = class_literal(fam.outer)
         for k in range(1, FAMILY_K + 1):
