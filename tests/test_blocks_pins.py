@@ -447,6 +447,25 @@ class TestMinimalBlock:
                         host, i, j
                     ), (name, k, i, j)
 
+    def test_nesting_and_equality(self):
+        for pi in perms_up_to(6):
+            n = len(pi)
+            if n < 2:
+                continue
+            pos_of = value_positions(pi)
+            spans = {
+                (i, j): _minimal_span(pi, pos_of, i, j)
+                for i in range(1, n)
+                for j in range(i + 1, n + 1)
+            }
+            for (i, j), (s, e) in spans.items():
+                for k in range(s, e + 1):
+                    for l in range(k + 1, e + 1):
+                        s2, e2 = spans[(k, l)]
+                        assert s <= s2 and e2 <= e
+                        if k <= i < j <= l:
+                            assert (s2, e2) == (s, e)
+
 
 class TestClassifyPins:
     def test_mixed_host_directions(self):

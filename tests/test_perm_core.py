@@ -472,6 +472,15 @@ class TestIntervals:
             ]
             assert intervals(pi) == expected
 
+    def test_overlapping_intersection_is_interval(self):
+        for pi in perms_up_to(6):
+            ivs = intervals(pi)
+            ivset = set(ivs)
+            for (s1, e1), (s2, e2) in itertools.combinations(ivs, 2):
+                s, e = max(s1, s2), min(e1, e2)
+                if s <= e:
+                    assert (s, e) in ivset
+
 
 class TestPointHelpers:
     def test_delete_point(self):

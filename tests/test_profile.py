@@ -1,3 +1,4 @@
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,28 @@ class TestLeftGreedyProfile:
         with pytest.raises(ValueError):
             left_greedy_profile(p("12"), av(1))
 
+    def test_shortest_and_unique(self):
+        for pi in perms_up_to(7):
+            for inner in STANDARD_CLASSES:
+                dec = left_greedy_profile(pi, inner)
+                defls = all_deflations(pi, inner)
+                assert dec.profile in defls
+                shortest = min(len(d) for d in defls)
+                assert len(dec.profile) == shortest
+                assert sum(1 for d in defls if len(d) == shortest) == 1
+
+    def test_shortest_and_unique_at_length_eight(self):
+        # The length-8 sweep for the other three classes runs in the
+        # acceptance suite; this covers the remaining one.
+        inner = av(123)
+        for pi in perms_up_to(8):
+            dec = left_greedy_profile(pi, inner)
+            defls = all_deflations(pi, inner)
+            assert dec.profile in defls
+            shortest = min(len(d) for d in defls)
+            assert len(dec.profile) == shortest
+            assert sum(1 for d in defls if len(d) == shortest) == 1
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=9, max_value=10).flatmap(inflation_built))
     def test_shortest_and_unique_on_longer_hosts(self, vals):
@@ -177,6 +200,13 @@ class TestWreathMember:
 
     def test_empty_block_class(self):
         assert not wreath_member(p("1"), av(21), av(1))
+
+    def test_agrees_with_deflation_oracle(self):
+        pairs = [(av(21), av(21)), (av(321), av(21)), (av(25134), av(321))]
+        for pi in perms_up_to(6):
+            for outer, inner in pairs:
+                oracle = any(member(d, outer) for d in all_deflations(pi, inner))
+                assert wreath_member(pi, outer, inner) == oracle
 
     def test_closed_downward(self):
         from permwreath.perm_core import delete_point
@@ -308,3 +338,30 @@ class TestIsValidDeflation:
         dec = ProfileDecomposition(p("1"), ((1, 1),), (p("1"),))
         assert not is_valid_deflation(p("12"), dec, av(21))
 
+
+class TestProfileMinimalBlockLink:
+    def test_link_both_directions(self):
+        from permwreath.blocks_pins import minimal_block
+
+        for pi in perms_up_to(6):
+            n = len(pi)
+            if n < 2:
+                continue
+            spans = {
+                (i, j): minimal_block(pi, i, j).pos_range
+                for i in range(1, n)
+                for j in range(i + 1, n + 1)
+            }
+            for inner in STANDARD_CLASSES:
+                dec = left_greedy_profile(pi, inner)
+                block_of = {}
+                for bi, (s, e) in enumerate(dec.segments):
+                    for q in range(s, e + 1):
+                        block_of[q] = bi
+                for (i, j), (s, e) in spans.items():
+                    if not member(reduce(pi[s - 1 : e]), inner):
+                        assert block_of[i] != block_of[j]
+                leaders = [s for s, _ in dec.segments]
+                for ai, aj in itertools.combinations(leaders, 2):
+                    s, e = spans[(ai, aj)]
+                    assert not member(reduce(pi[s - 1 : e]), inner)
