@@ -111,9 +111,9 @@ def _in_class(pi: Sequence[int], cls: PermClass, pin: int | None = None) -> bool
     # The one class test, unmemoised: for a host that is tested once,
     # a memo entry would only be written and never read.  Its callers
     # outside the memo are the pinned tests of the downset grower, whose
-    # rows the basis scan reads, and of the pin probe, which tests its
-    # two origin words whole here too, and the scan's whole test of a
-    # child that is its own profile (rule (e) of
+    # rows the basis scan reads, and of the pin probe, origin words
+    # included, and the scan's whole test of a child that is its own
+    # profile (rule (e) of
     # ``basis_search.basis_elements_of_length``).  ``pin``, a 0-based
     # position, promises that the point there is an extreme of ``pi``
     # (its first or last position, or its top or bottom value) and that

@@ -26,9 +26,10 @@ linked paths.  A pin word is realised by one insertion per letter into
 each axis's rank order.  The probe makes the same insertion on its
 parent word's realisation, so it grows each word's host in one step
 instead of realising the word again; the new pin is an extreme of the
-host, and the parent word is alive, so a child word is tested only for
-occurrences through its new pin: the pinned test of
-``avoidance._in_class``.
+host, and the parent word is alive, so a word is tested only for
+occurrences through its newest pin: the pinned test of
+``avoidance._in_class``.  An origin's newest pin is its second point,
+and the origin less that point is the one-point permutation.
 
 The pin probe walks the words depth first, so it holds O(cap) words
 whatever the class, and it lists at most ``PROBE_WITNESSES`` survivors.
@@ -502,10 +503,13 @@ def pin_probe(inner: PermClass, cap: int) -> PinProbeResult:
     carries its word's realisation and the position of its last pin,
     and a child's realisation is grown from its parent's by one step
     that makes the insertion :func:`pin_word_points` makes for the
-    letter; only the two origins are realised whole.  The new pin is an
-    extreme of the child, so a child is tested only for occurrences
-    through it.  Both tests are ``avoidance._in_class``, unmemoised,
-    as in the downset grower: pinned for a child, whole for an origin.
+    letter; only the two origins are realised whole.  The newest pin is
+    an extreme of its word's realisation, so every word, origins
+    included, is tested only for occurrences through it, by
+    ``avoidance._in_class``, unmemoised, as in the downset grower.  An
+    origin less its second point is the one-point permutation, which
+    lies in the class unless the basis is {1}; then the pinned search
+    finds that point itself, so the verdict is the whole test's.
     Each word's children are pushed in reverse letter order, so the
     words of one length are met in the order a breadth-first search
     lists them.  The walk stops once ``PROBE_WITNESSES`` words of ``cap``
@@ -526,7 +530,7 @@ def pin_probe(inner: PermClass, cap: int) -> PinProbeResult:
     stack = [(o, "", pin_word_to_perm(PinWord(o)), 1) for o in ("21", "12")]
     while stack and len(witnesses) < PROBE_WITNESSES:
         origin, letters, host, pin = stack.pop()
-        if not _in_class(host, inner, pin if letters else None):
+        if not _in_class(host, inner, pin):
             continue
         longest = max(longest, len(letters))
         if len(letters) == cap:

@@ -29,6 +29,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 from .avoidance import (
@@ -273,6 +274,7 @@ def _pin_sequence(seq) -> Output:
 
 # --- argument wiring ----------------------------------------------------
 
+@cache  # built on the first execute, not at import; never changed after
 def _build_parser() -> _Parser:
     p = _Parser(prog="permwreath", description=__doc__.splitlines()[0])
     p.add_argument("--json", action="store_true", help="structured output")
@@ -282,11 +284,7 @@ def _build_parser() -> _Parser:
         default=LENGTH_CAP,
         help=f"hard cap on parsed permutation length (default {LENGTH_CAP})",
     )
-    p.add_argument(
-        "--store",
-        default=os.environ.get(STORE_ENV),
-        help=f"result store path (default ${STORE_ENV})",
-    )
+    p.add_argument("--store", help=f"result store path (default ${STORE_ENV})")
     sub = p.add_subparsers(dest="command", required=True)
 
     def cmd(group, name, run, summary):
@@ -568,7 +566,8 @@ def _basis(ns) -> Output:
     # Refuses a bad --max-len before the store is read, let alone repaired.
     passes = basis_passes(outer, inner, ns.max_len)
     key = _job_key(outer, inner)
-    completed = store_resume(ns.store).get(key, 0) if ns.store else 0
+    store = os.environ.get(STORE_ENV) if ns.store is None else ns.store
+    completed = store_resume(store).get(key, 0) if store else 0
     if completed >= ns.max_len:
         return EXIT_OK, [], []
     payloads, lines = [], []
@@ -576,12 +575,12 @@ def _basis(ns) -> Output:
         if n <= completed:  # stored already; the pass only rebuilds its layer
             continue
         batch = [asdict(BasisRecord(p, outer.basis, inner.basis, n)) for p in found]
-        if ns.store:
+        if store:
             # Records and marker go to disk in a single write, so a crash
             # cannot leave a length's records without its marker (which
             # would make a re-run append them again).
             marker = ("length_complete", {"job": key, "length": n})
-            store_append(ns.store, [("basis_record", b) for b in batch] + [marker])
+            store_append(store, [("basis_record", b) for b in batch] + [marker])
         payloads += batch
         lines += [f"{n} {format_perm(p)}" for p in found]
     return EXIT_OK, payloads, lines

@@ -5,8 +5,6 @@ complete.  Everything here is exact (no tolerances); the exhaustive
 sweeps cover all permutations up to the stated lengths.
 """
 
-import itertools
-
 from permwreath.avoidance import av, member, named
 from permwreath.basis_search import (
     FAMILIES,
@@ -16,7 +14,6 @@ from permwreath.basis_search import (
     wreath_basis,
 )
 from permwreath.blocks_pins import (
-    _minimal_span,
     classify_pins,
     left_reaching,
     minimal_block,
@@ -24,10 +21,17 @@ from permwreath.blocks_pins import (
     right_reaching,
 )
 from permwreath.decomposition import INDECOMPOSABLE_BOTH, sum_skew_status
-from permwreath.perm_core import Permutation, inflate, intervals, occurrences, reduce
-from permwreath.profile import all_deflations, left_greedy_profile, wreath_member
+from permwreath.perm_core import Permutation, inflate, occurrences, reduce
+from permwreath.profile import left_greedy_profile, wreath_member
 
-from conftest import p, perms_up_to, value_positions
+from conftest import (
+    assert_greedy_is_unique_shortest,
+    assert_intersections_are_intervals,
+    assert_minimal_spans_nest,
+    assert_profile_block_link,
+    p,
+    perms_up_to,
+)
 
 PAIRS = (
     (av(21), av(21)),
@@ -69,12 +73,7 @@ def test_criterion_2_oracle_equivalence():
         by_inner.setdefault(inner, []).append(outer)
     for pi in perms_up_to(8):
         for inner, outers in by_inner.items():
-            defls = all_deflations(pi, inner)
-            profile = left_greedy_profile(pi, inner).profile
-            shortest = min(len(d) for d in defls)
-            assert len(profile) == shortest
-            assert sum(1 for d in defls if len(d) == shortest) == 1
-            assert profile in defls
+            defls = assert_greedy_is_unique_shortest(pi, inner)
             for outer in outers:
                 oracle = any(member(d, outer) for d in defls)
                 assert wreath_member(pi, outer, inner) == oracle
@@ -158,53 +157,17 @@ def test_criterion_5_basis_bound():
 
 def test_criterion_6_structural_suites():
     for pi in perms_up_to(7):
-        ivs = intervals(pi)
-        ivset = set(ivs)
-        for (s1, e1), (s2, e2) in itertools.combinations(ivs, 2):
-            s, e = max(s1, s2), min(e1, e2)
-            if s <= e:
-                assert (s, e) in ivset
-
-    for pi in perms_up_to(7):
-        n = len(pi)
-        if n < 2:
+        assert_intersections_are_intervals(pi)
+        if len(pi) < 2:
             continue
-        pos_of = value_positions(pi)
-        spans = {
-            (i, j): _minimal_span(pi, pos_of, i, j)
-            for i in range(1, n)
-            for j in range(i + 1, n + 1)
-        }
+        spans = assert_minimal_spans_nest(pi)
+        assert_profile_block_link(pi, spans, LINK_CLASSES)
         for (i, j), (s, e) in spans.items():
-            for k in range(s, e + 1):
-                for l in range(k + 1, e + 1):
-                    s2, e2 = spans[(k, l)]
-                    assert s <= s2 and e2 <= e
-                    if k <= i < j <= l:
-                        assert (s2, e2) == (s, e)
-
-        for inner in LINK_CLASSES:
-            dec = left_greedy_profile(pi, inner)
-            block_of = {}
-            for bi, (s, e) in enumerate(dec.segments):
-                for q in range(s, e + 1):
-                    block_of[q] = bi
-            for (i, j), (s, e) in spans.items():
-                if not member(reduce(pi[s - 1 : e]), inner):
-                    assert block_of[i] != block_of[j]
-            leaders = [s for s, _ in dec.segments]
-            for ai, aj in itertools.combinations(leaders, 2):
-                s, e = spans[(ai, aj)]
-                assert not member(reduce(pi[s - 1 : e]), inner)
-
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                s, e = spans[(i, j)]
-                for fn, tpos in ((right_reaching, e), (left_reaching, s)):
-                    seq = fn(pi, i, j)
-                    assert all(seq.proper_flags[2:])
-                    assert seq.pins[-1][0] == tpos or (
-                        len(seq.pins) == 2 and any(q[0] == tpos for q in seq.pins)
-                    )
+            for fn, tpos in ((right_reaching, e), (left_reaching, s)):
+                seq = fn(pi, i, j)
+                assert all(seq.proper_flags[2:])
+                assert seq.pins[-1][0] == tpos or (
+                    len(seq.pins) == 2 and any(q[0] == tpos for q in seq.pins)
+                )
 
     _report(6, "structural property suites up to length 7")

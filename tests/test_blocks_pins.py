@@ -32,7 +32,7 @@ from permwreath.blocks_pins import (
 )
 from permwreath.perm_core import CapExceeded, _trusted, inflate, involves, reduce
 
-from conftest import p, perms_up_to, value_positions
+from conftest import assert_minimal_spans_nest, p, perms_up_to, value_positions
 
 # An 11-point host whose pins pick up every direction and both
 # properness outcomes.
@@ -327,15 +327,15 @@ def spy_on_member(monkeypatch):
 
 def realised_probe_tests(inner, cap):
     """The (host, pin) pairs a probe that never stops early tests, by
-    the fractional realiser: each origin whole (pin None), and each child
-    of a live word of fewer than ``cap`` letters pinned at its last pin."""
+    the fractional realiser: each origin, and each child of a live word
+    of fewer than ``cap`` letters, pinned at its last pin."""
     tested = Counter()
     level = [PinWord("12"), PinWord("21")]
     while level:
         alive = []
         for word in level:
             host, pins = fraction_pin_word_points(word)
-            tested[tuple(host), pins[-1][0] - 1 if word.letters else None] += 1
+            tested[tuple(host), pins[-1][0] - 1] += 1
             if member(host, inner) and len(word.letters) < cap:
                 alive.append(word)
         level = [
@@ -449,22 +449,8 @@ class TestMinimalBlock:
 
     def test_nesting_and_equality(self):
         for pi in perms_up_to(6):
-            n = len(pi)
-            if n < 2:
-                continue
-            pos_of = value_positions(pi)
-            spans = {
-                (i, j): _minimal_span(pi, pos_of, i, j)
-                for i in range(1, n)
-                for j in range(i + 1, n + 1)
-            }
-            for (i, j), (s, e) in spans.items():
-                for k in range(s, e + 1):
-                    for l in range(k + 1, e + 1):
-                        s2, e2 = spans[(k, l)]
-                        assert s <= s2 and e2 <= e
-                        if k <= i < j <= l:
-                            assert (s2, e2) == (s, e)
+            if len(pi) >= 2:
+                assert_minimal_spans_nest(pi)
 
 
 class TestClassifyPins:
@@ -800,7 +786,9 @@ class TestPinProbe:
 # The registry holds av(21) as "av21".
 PROBE_CLASSES = {
     **REGISTRY,
+    "av": av(),
     "av1": av(1),
+    "av12": av(12),
     "av231": av(231),
     "av2413-3142": av(2413, 3142),
 }

@@ -300,10 +300,15 @@ class TestStore:
         assert run(*argv).stdout == res.stdout
 
     def test_env_var_supplies_default(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "env.jsonl")
-        monkeypatch.setenv("PERMWREATH_STORE", path)
-        run("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "3")
-        assert store_resume(path) == {"av(21)|av(21)": 3}
+        # Two runs in one process: each reads the variable as it runs,
+        # and both parse with the one command table.
+        cli._build_parser.cache_clear()
+        for name in ("env.jsonl", "env2.jsonl"):
+            path = str(tmp_path / name)
+            monkeypatch.setenv("PERMWREATH_STORE", path)
+            run("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "3")
+            assert store_resume(path) == {"av(21)|av(21)": 3}
+        assert cli._build_parser.cache_info().misses == 1
 
 
 SCAN = ("basis", "--x", "av(25134)", "--y", "av(321)")

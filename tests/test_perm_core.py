@@ -26,7 +26,12 @@ from permwreath.perm_core import (
     reduce,
 )
 
-from conftest import p, perms_of_length, perms_up_to
+from conftest import (
+    assert_intersections_are_intervals,
+    p,
+    perms_of_length,
+    perms_up_to,
+)
 
 perm_values = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -474,12 +479,7 @@ class TestIntervals:
 
     def test_overlapping_intersection_is_interval(self):
         for pi in perms_up_to(6):
-            ivs = intervals(pi)
-            ivset = set(ivs)
-            for (s1, e1), (s2, e2) in itertools.combinations(ivs, 2):
-                s, e = max(s1, s2), min(e1, e2)
-                if s <= e:
-                    assert (s, e) in ivset
+            assert_intersections_are_intervals(pi)
 
 
 class TestPointHelpers:

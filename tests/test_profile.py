@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +22,13 @@ from permwreath.profile import (
     wreath_member,
 )
 
-from conftest import p, perms_up_to
+from conftest import (
+    assert_greedy_is_unique_shortest,
+    assert_profile_block_link,
+    p,
+    perms_up_to,
+    span_table,
+)
 
 STANDARD_CLASSES = (av(21), av(123), av(321), named("av3412-2413"))
 FAMILY_INNERS = sorted(
@@ -126,35 +130,21 @@ class TestLeftGreedyProfile:
     def test_shortest_and_unique(self):
         for pi in perms_up_to(7):
             for inner in STANDARD_CLASSES:
-                dec = left_greedy_profile(pi, inner)
-                defls = all_deflations(pi, inner)
-                assert dec.profile in defls
-                shortest = min(len(d) for d in defls)
-                assert len(dec.profile) == shortest
-                assert sum(1 for d in defls if len(d) == shortest) == 1
+                assert_greedy_is_unique_shortest(pi, inner)
 
     def test_shortest_and_unique_at_length_eight(self):
         # The length-8 sweep for the other three classes runs in the
         # acceptance suite; this covers the remaining one.
         inner = av(123)
         for pi in perms_up_to(8):
-            dec = left_greedy_profile(pi, inner)
-            defls = all_deflations(pi, inner)
-            assert dec.profile in defls
-            shortest = min(len(d) for d in defls)
-            assert len(dec.profile) == shortest
-            assert sum(1 for d in defls if len(d) == shortest) == 1
+            assert_greedy_is_unique_shortest(pi, inner)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=9, max_value=10).flatmap(inflation_built))
     def test_shortest_and_unique_on_longer_hosts(self, vals):
         pi = p(",".join(map(str, vals)))
         for inner in STANDARD_CLASSES:
-            defls = all_deflations(pi, inner)
-            shortest = min(len(d) for d in defls)
-            assert [d for d in defls if len(d) == shortest] == [
-                left_greedy_profile(pi, inner).profile
-            ]
+            assert_greedy_is_unique_shortest(pi, inner)
 
     def test_matches_descending_kernel_exhaustively(self):
         for pi in perms_up_to(7):
@@ -344,24 +334,6 @@ class TestProfileMinimalBlockLink:
         from permwreath.blocks_pins import minimal_block
 
         for pi in perms_up_to(6):
-            n = len(pi)
-            if n < 2:
-                continue
-            spans = {
-                (i, j): minimal_block(pi, i, j).pos_range
-                for i in range(1, n)
-                for j in range(i + 1, n + 1)
-            }
-            for inner in STANDARD_CLASSES:
-                dec = left_greedy_profile(pi, inner)
-                block_of = {}
-                for bi, (s, e) in enumerate(dec.segments):
-                    for q in range(s, e + 1):
-                        block_of[q] = bi
-                for (i, j), (s, e) in spans.items():
-                    if not member(reduce(pi[s - 1 : e]), inner):
-                        assert block_of[i] != block_of[j]
-                leaders = [s for s, _ in dec.segments]
-                for ai, aj in itertools.combinations(leaders, 2):
-                    s, e = spans[(ai, aj)]
-                    assert not member(reduce(pi[s - 1 : e]), inner)
+            if len(pi) >= 2:
+                spans = span_table(pi, lambda i, j: minimal_block(pi, i, j).pos_range)
+                assert_profile_block_link(pi, spans, STANDARD_CLASSES)
