@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 from functools import lru_cache
 
 from permwreath.avoidance import member
@@ -32,6 +34,62 @@ def value_positions(pi) -> list[int]:
     for q, v in enumerate(pi, start=1):
         pos_of[v] = q
     return pos_of
+
+
+# --- brute-force references that more than one test reads ------------------
+
+@lru_cache(maxsize=None)
+def direct_intervals(pi) -> tuple[tuple[int, int], ...]:
+    """The intervals (s, e) of ``pi`` by direct scan, in order of s then
+    e: positions s..e form one when their max - min is e - s."""
+    n = len(pi)
+    return tuple(
+        (s, e)
+        for s in range(1, n + 1)
+        for e in range(s, n + 1)
+        if max(pi[s - 1 : e]) - min(pi[s - 1 : e]) == e - s
+    )
+
+
+def interval_segmentations(pi) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every cut of ``pi`` into consecutive segments that are all
+    intervals, walking the 2^(n-1) cut masks in order (bit k - 1 cuts
+    after position k)."""
+    n = len(pi)
+    ivs = set(direct_intervals(pi))
+    found = []
+    for mask in range(1 << (n - 1)):
+        segs, start = [], 1
+        for k in range(1, n + 1):
+            if k == n or mask >> (k - 1) & 1:
+                if (start, k) not in ivs:
+                    break
+                segs.append((start, k))
+                start = k + 1
+        else:
+            found.append(tuple(segs))
+    return tuple(found)
+
+
+_reduce_once = lru_cache(maxsize=None)(reduce)
+
+
+@lru_cache(maxsize=None)
+def pattern_census(pi, max_len) -> Counter:
+    """Occurrences in ``pi`` of every pattern of length at most
+    ``max_len``, by reducing every subsequence.  The Counter is memoised
+    and shared: read it, never change it."""
+    counts = Counter()
+    for k in range(1, min(len(pi), max_len) + 1):
+        for combo in itertools.combinations(pi, k):
+            counts[_reduce_once(combo)] += 1
+    return counts
+
+
+def seeded_hosts(n) -> tuple[Permutation, ...]:
+    """60 permutations of length n drawn from ``random.Random(1900 + n)``."""
+    rng = random.Random(1900 + n)
+    return tuple(_trusted(rng.sample(range(1, n + 1), n)) for _ in range(60))
 
 
 # --- exhaustive checks that more than one test makes ------------------------

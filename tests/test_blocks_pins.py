@@ -32,7 +32,13 @@ from permwreath.blocks_pins import (
 )
 from permwreath.perm_core import CapExceeded, _trusted, inflate, involves, reduce
 
-from conftest import assert_minimal_spans_nest, p, perms_up_to, value_positions
+from conftest import (
+    assert_minimal_spans_nest,
+    direct_intervals,
+    p,
+    perms_up_to,
+    value_positions,
+)
 
 # An 11-point host whose pins pick up every direction and both
 # properness outcomes.
@@ -106,19 +112,21 @@ def stepped_pin_word(word):
     return host, pin
 
 
+def next_letters(letters):
+    """The letters that may follow ``letters`` in a pin word: any letter
+    first, then one perpendicular to the last."""
+    if not letters:
+        return "LRUD"
+    return "UD" if letters[-1] in "LR" else "LR"
+
+
 def all_pin_words(max_letters):
     """Every pin word of up to ``max_letters`` letters, from both origins."""
     for origin in ("12", "21"):
         level = [""]
         for _ in range(max_letters + 1):
             yield from (PinWord(origin, letters) for letters in level)
-            level = [
-                letters + ch
-                for letters in level
-                for ch in ("LRUD" if not letters else (
-                    "UD" if letters[-1] in "LR" else "LR"
-                ))
-            ]
+            level = [letters + ch for letters in level for ch in next_letters(letters)]
 
 
 def _further(a, b, direction):
@@ -294,11 +302,9 @@ def _frozen_probe(inner, cap):
         return member(pin_word_to_perm(word), inner)
 
     def children(word):
-        if not word.letters:
-            letters = "LRUD"
-        else:
-            letters = "UD" if word.letters[-1] in "LR" else "LR"
-        return [PinWord(word.origin, word.letters + ch) for ch in letters]
+        return [
+            PinWord(word.origin, word.letters + ch) for ch in next_letters(word.letters)
+        ]
 
     frontier = [w for w in (PinWord("12"), PinWord("21")) if alive(w)]
     if not frontier:
@@ -341,9 +347,7 @@ def realised_probe_tests(inner, cap):
         level = [
             PinWord(word.origin, word.letters + ch)
             for word in alive
-            for ch in ("LRUD" if not word.letters else (
-                "UD" if word.letters[-1] in "LR" else "LR"
-            ))
+            for ch in next_letters(word.letters)
         ]
     return tested
 
@@ -387,15 +391,10 @@ def pin_sequences(draw):
 
 def brute_minimal_block(pi, i, j):
     # Shortest interval containing both positions, by direct scan.
-    n = len(pi)
-    best = None
-    for s in range(1, i + 1):
-        for e in range(j, n + 1):
-            seg = pi[s - 1 : e]
-            if max(seg) - min(seg) == e - s:
-                if best is None or e - s < best[1] - best[0]:
-                    best = (s, e)
-    return best
+    return min(
+        ((s, e) for s, e in direct_intervals(pi) if s <= i and j <= e),
+        key=lambda iv: iv[1] - iv[0],
+    )
 
 
 class TestMinimalBlock:
@@ -580,6 +579,11 @@ class TestPinWords:
     # Each word is realised twice: whole, and by the probe's one-letter
     # step folded over its letters, which also gives the last pin's index.
 
+    def test_next_letters_turn_perpendicular(self):
+        assert next_letters("") == "LRUD"
+        assert next_letters("UL") == next_letters(["R"]) == "UD"
+        assert next_letters("LU") == next_letters(["D"]) == "LR"
+
     def test_matches_fractional_realiser(self):
         for word in all_pin_words(10):
             host, pins = fraction_pin_word_points(word)
@@ -603,10 +607,7 @@ class TestPinWords:
     def test_prefix_embeds(self, origin, data):
         letters = []
         for _ in range(data.draw(st.integers(0, 6))):
-            choices = "LRUD" if not letters else (
-                "UD" if letters[-1] in "LR" else "LR"
-            )
-            letters.append(data.draw(st.sampled_from(choices)))
+            letters.append(data.draw(st.sampled_from(next_letters(letters))))
         word = PinWord(origin, "".join(letters))
         full = pin_word_to_perm(word)
         for take in range(len(letters)):

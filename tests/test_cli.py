@@ -235,6 +235,17 @@ class TestStore:
         assert "dropped a torn final line" in capsys.readouterr().err
         assert path.read_bytes() == intact
 
+    def test_torn_first_line_is_dropped(self, tmp_path, capsys):
+        # A crash during the very first write leaves one torn line and
+        # nothing intact before it: the store is cut back to empty.
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(b'{"kind":"basis_rec')
+        res = run("--store", str(path), "basis", "--x", "av(21)", "--y", "av(21)",
+                  "--max-len", "3")
+        assert res.exit_code == 0 and res.stdout == "2 21"
+        assert "dropped a torn final line" in capsys.readouterr().err
+        assert store_resume(str(path)) == {"av(21)|av(21)": 3}
+
     @pytest.mark.parametrize(
         "payload",
         [

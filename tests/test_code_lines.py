@@ -35,10 +35,29 @@ class C:
     assert code_lines.code_lines(source) == 10
 
 
-def test_src_counts_every_module(capsys):
+def _blocks(capsys):
+    """The printed src/ block and tests/ block, each ending in its total."""
     code_lines.main()
     lines = capsys.readouterr().out.splitlines()
-    counts = [int(line.split()[0]) for line in lines]
-    assert lines[-1].endswith("total")
+    split = next(k for k, line in enumerate(lines) if line.endswith("  total")) + 1
+    return lines[:split], lines[split:]
+
+
+def _check_block(block, label, folder):
+    counts = [int(line.split()[0]) for line in block]
+    assert block[-1].split(None, 1)[1] == label
     assert sum(counts[:-1]) == counts[-1] > 0
-    assert any(line.endswith("perm_core.py") for line in lines)
+    assert all(line.split()[1].startswith(folder) for line in block[:-1])
+
+
+def test_src_counts_every_module(capsys):
+    src, _ = _blocks(capsys)
+    _check_block(src, "total", "src/")
+    assert any(line.endswith("perm_core.py") for line in src)
+
+
+def test_tests_follow_src(capsys):
+    _, tests = _blocks(capsys)
+    _check_block(tests, "tests total", "tests/")
+    assert len(tests) == len(list(TOOL.parent.parent.glob("tests/*.py"))) + 1
+    assert any(line.endswith("conftest.py") for line in tests)

@@ -21,18 +21,18 @@ from permwreath.perm_core import (
     reduce,
 )
 
-from conftest import p, perms_of_length, perms_up_to
+from conftest import (
+    direct_intervals,
+    interval_segmentations,
+    p,
+    perms_of_length,
+    perms_up_to,
+)
 
 
 def brute_simple(pi):
-    n = len(pi)
-    for s in range(1, n + 1):
-        for e in range(s, n + 1):
-            seg = pi[s - 1 : e]
-            if (s, e) not in ((1, n),) and len(seg) > 1:
-                if max(seg) - min(seg) == e - s:
-                    return False
-    return True
+    # No interval but the singletons and the whole.
+    return all(s == e or (s, e) == (1, len(pi)) for s, e in direct_intervals(pi))
 
 
 class TestIsSimple:
@@ -58,32 +58,13 @@ class TestIsSimple:
 
 
 def brute_decompositions(pi):
-    """Every way to cut pi into consecutive interval segments whose
-    contraction is simple of length >= 4, plus the segment lists for
-    length-2 contractions.  Independent of the closed-form algorithm."""
-    n = len(pi)
-    results = []
-    for mask in range(1 << (n - 1)):
-        segs = []
-        start = 1
-        for k in range(1, n):
-            if mask >> (k - 1) & 1:
-                segs.append((start, k))
-                start = k + 1
-        segs.append((start, n))
-        if len(segs) == 1 or len(segs) == n and n > 1:
-            pass  # trivial cuts allowed through; filtered by caller
-        ok = True
-        for s, e in segs:
-            seg = pi[s - 1 : e]
-            if max(seg) - min(seg) != e - s:
-                ok = False
-                break
-        if not ok:
-            continue
-        skel = reduce([pi[s - 1] for s, _ in segs])
-        results.append((skel, tuple(segs)))
-    return results
+    """(skeleton, segments) for every cut of pi into consecutive interval
+    segments, in mask order; the caller keeps the simple skeletons.
+    Independent of the closed-form algorithm."""
+    return [
+        (reduce([pi[s - 1] for s, _ in segs]), segs)
+        for segs in interval_segmentations(pi)
+    ]
 
 
 class TestSubstitutionDecomposition:

@@ -1,4 +1,3 @@
-import itertools
 import random
 from functools import lru_cache
 
@@ -28,9 +27,12 @@ from permwreath.perm_core import (
 
 from conftest import (
     assert_intersections_are_intervals,
+    direct_intervals,
     p,
+    pattern_census,
     perms_of_length,
     perms_up_to,
+    seeded_hosts,
 )
 
 perm_values = st.integers(min_value=1, max_value=8).flatmap(
@@ -278,14 +280,8 @@ class TestInvolvesMatchesFrozenBacktracker:
 
     def test_every_short_pattern_in_every_short_host(self):
         patterns = list(perms_up_to(4))
-        # Few distinct value tuples recur across hosts, so reduce each once.
-        pattern_of = lru_cache(maxsize=None)(reduce)
         for pi in perms_up_to(7):
-            inside = {
-                pattern_of(combo)
-                for k in range(1, min(4, len(pi)) + 1)
-                for combo in itertools.combinations(pi, k)
-            }
+            inside = pattern_census(pi, 4)
             for sigma in patterns:
                 expected = sigma in inside
                 assert involves(sigma, pi) == expected, (sigma, pi)
@@ -332,11 +328,7 @@ class TestReportedOccurrence:
     PATTERNS = tuple(sigma for sigma in perms_up_to(5) if len(sigma) > 1)
 
     def check_host(self, pi):
-        inside = {
-            reduce(combo)
-            for k in range(2, min(5, len(pi)) + 1)
-            for combo in itertools.combinations(pi, k)
-        }
+        inside = pattern_census(pi, 5)
         for sigma in self.PATTERNS:
             found = []
             count = _matches(sigma, pi, 1, None, found)
@@ -355,9 +347,8 @@ class TestReportedOccurrence:
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_seeded_hosts(self, n):
-        rng = random.Random(1900 + n)
-        for _ in range(60):
-            self.check_host(Permutation(rng.sample(range(1, n + 1), n)))
+        for pi in seeded_hosts(n):
+            self.check_host(pi)
 
     def test_a_point_reports_the_first_point(self):
         found = []
@@ -385,9 +376,8 @@ class TestOccurrences:
             (p("2413"), p("35142687")),
             *((sigma, pi) for pi in perms_up_to(7) for sigma in patterns),
         ]
-        count_of = lru_cache(maxsize=4)(_subset_counts)  # cases come by host
         for sigma, pi in cases:
-            expected = count_of(pi, len(sigma)).get(sigma, 0)
+            expected = pattern_census(pi, 4)[sigma]
             assert occurrences(sigma, pi) == expected, (sigma, pi)
 
     def test_longer_pattern_and_empty_pattern(self):
@@ -402,15 +392,6 @@ class TestOccurrences:
         for pi in perms_of_length(5):
             for sigma in perms_of_length(3):
                 assert (occurrences(sigma, pi) >= 1) == involves(sigma, pi)
-
-
-def _subset_counts(pi, k):
-    # Occurrences of every pattern of length k in pi, one subset at a time.
-    counts = {}
-    for combo in itertools.combinations(pi, k):
-        sigma = reduce(combo)
-        counts[sigma] = counts.get(sigma, 0) + 1
-    return counts
 
 
 class TestDeepPattern:
@@ -468,14 +449,7 @@ class TestIntervals:
 
     def test_matches_direct_scan(self):
         for pi in perms_of_length(6):
-            expected = [
-                (s, e)
-                for s in range(1, 7)
-                for e in range(s, 7)
-                if sorted(pi[s - 1 : e]) == list(range(min(pi[s - 1 : e]), max(pi[s - 1 : e]) + 1))
-                and max(pi[s - 1 : e]) - min(pi[s - 1 : e]) == e - s
-            ]
-            assert intervals(pi) == expected
+            assert intervals(pi) == list(direct_intervals(pi))
 
     def test_overlapping_intersection_is_interval(self):
         for pi in perms_up_to(6):

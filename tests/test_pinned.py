@@ -8,28 +8,14 @@ extreme point of every host of length at most 6, and of a seeded sample
 of hosts of lengths 7 and 8.
 """
 
-import random
-from collections import Counter
-from itertools import combinations
-
 import pytest
 
 from permwreath.avoidance import _in_class, _member, av, member
-from permwreath.perm_core import _matches, _trusted, delete_point, involves, reduce
+from permwreath.perm_core import _matches, delete_point, involves
 
-from conftest import p, perms_up_to
+from conftest import p, pattern_census, perms_up_to, seeded_hosts
 
 PATTERNS = tuple(perms_up_to(5))
-
-
-def pattern_counts(pi):
-    """Occurrences in ``pi`` of every pattern of length at most 5, by
-    reducing every subsequence."""
-    counts = Counter()
-    for m in range(1, min(len(pi), 5) + 1):
-        for idx in combinations(range(len(pi)), m):
-            counts[reduce([pi[i] for i in idx])] += 1
-    return counts
 
 
 def extremes(pi):
@@ -42,10 +28,10 @@ def check_host(host, counting=True):
     """The pinned verdict against ``involves`` wherever the deletion of the
     pin avoids the pattern; with ``counting``, also the pinned count
     against the occurrences the pin adds, for every pattern."""
-    counts = pattern_counts(host)
+    counts = pattern_census(host, 5)
     checked = 0
     for pin in extremes(host):
-        less = pattern_counts(delete_point(host, pin + 1))
+        less = pattern_census(delete_point(host, pin + 1), 5)
         for sigma in PATTERNS:
             if counting:
                 through = counts[sigma] - less[sigma]
@@ -68,9 +54,8 @@ def test_every_host_up_to_six():
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_seeded_hosts(n):
-    rng = random.Random(1900 + n)
-    for _ in range(60):
-        check_host(_trusted(rng.sample(range(1, n + 1), n)))
+    for host in seeded_hosts(n):
+        check_host(host)
 
 
 def test_a_point_through_a_pin():

@@ -25,6 +25,7 @@ from permwreath.profile import (
 from conftest import (
     assert_greedy_is_unique_shortest,
     assert_profile_block_link,
+    interval_segmentations,
     p,
     perms_up_to,
     span_table,
@@ -82,25 +83,11 @@ def inflation_built(draw, length, depth=3):
 def deflations_by_mask(pi, inner):
     """Mask-driven re-derivation of the deflation set, independent of
     the recursive scan under test."""
-    n = len(pi)
-    out = set()
-    for mask in range(1 << (n - 1)):
-        segs = []
-        start = 1
-        for k in range(1, n):
-            if mask >> (k - 1) & 1:
-                segs.append((start, k))
-                start = k + 1
-        segs.append((start, n))
-        good = True
-        for s, e in segs:
-            seg = pi[s - 1 : e]
-            if max(seg) - min(seg) != e - s or not member(reduce(seg), inner):
-                good = False
-                break
-        if good:
-            out.add(reduce([pi[s - 1] for s, _ in segs]))
-    return out
+    return {
+        reduce([pi[s - 1] for s, _ in segs])
+        for segs in interval_segmentations(pi)
+        if all(member(reduce(pi[s - 1 : e]), inner) for s, e in segs)
+    }
 
 
 class TestLeftGreedyProfile:

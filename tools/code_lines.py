@@ -1,4 +1,4 @@
-"""Count the code lines of each module under ``src/``.
+"""Count the code lines of each module under ``src/`` and ``tests/``.
 
 A code line is a line of source that is not blank, not a comment and not
 part of a docstring (the string that opens a module, class or function).
@@ -8,7 +8,8 @@ change:
 
     python tools/code_lines.py
 
-It prints one line per module under ``src/``, then the total.
+It prints one line per module under ``src/``, then their total, then
+one line per ``tests/*.py`` file and a ``tests total`` line.
 """
 
 from __future__ import annotations
@@ -60,13 +61,18 @@ def code_lines(source: str) -> int:
     return count
 
 
-def main() -> None:
+def _print_block(modules, label: str) -> None:
     total = 0
-    for module in sorted((ROOT / "src").rglob("*.py")):
+    for module in sorted(modules):
         count = code_lines(module.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {module.relative_to(ROOT)}")
-    print(f"{total:6d}  total")
+    print(f"{total:6d}  {label}")
+
+
+def main() -> None:
+    _print_block((ROOT / "src").rglob("*.py"), "total")
+    _print_block((ROOT / "tests").glob("*.py"), "tests total")
 
 
 if __name__ == "__main__":
