@@ -44,7 +44,7 @@ class Permutation(tuple):
         n = len(vals)
         if n == 0:
             raise ValueError("a permutation has at least one entry")
-        if sorted(vals) != list(range(1, n + 1)):
+        if set(map(type, vals)) != {int} or sorted(vals) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {vals!r}")
         return tuple.__new__(cls, vals)
 
@@ -421,6 +421,7 @@ def inflate(pi: Sequence[int], blocks: Sequence[Sequence[int]]) -> Permutation:
     ...         Permutation((2, 4, 1, 3)), Permutation((3, 2, 1))])
     Permutation([2, 1, 7, 9, 6, 8, 5, 4, 3])
     """
+    pi = pi if isinstance(pi, Permutation) else Permutation(pi)
     n = len(pi)
     if len(blocks) != n:
         raise ValueError(f"need {n} blocks, got {len(blocks)}")

@@ -140,50 +140,6 @@ def _further(a, b, direction):
     return a[1] < b[1]
 
 
-def _separates(q, prev, rect2):
-    # Does q lie between prev and rect2, by position or by value?
-    pos, val = q
-    ppos, pval = prev
-    pmin, pmax, vmin, vmax = rect2
-    if ppos > pmax and pmax < pos < ppos:
-        return True
-    if ppos < pmin and ppos < pos < pmin:
-        return True
-    if pval > vmax and vmax < val < pval:
-        return True
-    if pval < vmin and pval < val < vmin:
-        return True
-    return False
-
-
-def loop_proper_flags(host, pts):
-    """The per-pin properness loop as first written, frozen as a
-    reference: a separating pin is proper when no host point that slices
-    the same way and also separates lies further in its direction."""
-    host_points = points(host)
-    flags = [None, None]
-    for idx in range(2, len(pts)):
-        p = pts[idx]
-        rect = _bbox(pts[:idx])
-        d = _slice_direction(p, rect)
-        rect2 = _bbox(pts[: idx - 1])
-        prev = pts[idx - 1]
-        if not _separates(p, prev, rect2):
-            flags.append(False)
-            continue
-        best = p
-        for q in host_points:
-            if (
-                not _inside(q, rect)
-                and _slice_direction(q, rect) == d
-                and _separates(q, prev, rect2)
-                and _further(q, best, d)
-            ):
-                best = q
-        flags.append(best == p)
-    return tuple(flags)
-
-
 def _grow(rect, q):
     """The rectangle of rect's points and q, by a ``min`` and a ``max`` on
     each axis: the rectangle rule the pin kernels used before the
@@ -214,22 +170,6 @@ def _frozen_proper_pins(pts, last, rect, prev):
             d = _slice_direction(q, rect)
             if d is not None and (d not in by_dir or _further(q, by_dir[d], d)):
                 by_dir[d] = q
-    return by_dir
-
-
-def _frozen_channel_pins(pi, pos_of, last, rect, prev):
-    """The channel scan before its band fixed the direction, frozen as a
-    reference: every point of both bands is classified by
-    ``_slice_direction`` and the furthest kept by ``_further``."""
-    qmin, qmax, wmin, wmax = prev
-    ppos, pval = last
-    band = [(pos_of[v], v) for v in (*range(wmax + 1, pval), *range(pval + 1, wmin))]
-    band += [(q, pi[q - 1]) for q in (*range(qmax + 1, ppos), *range(ppos + 1, qmin))]
-    by_dir = {}
-    for q in band:
-        d = _slice_direction(q, rect)
-        if d is not None and (d not in by_dir or _further(q, by_dir[d], d)):
-            by_dir[d] = q
     return by_dir
 
 
@@ -488,12 +428,6 @@ class TestClassifyPins:
 
     @settings(max_examples=300, deadline=None)
     @given(pin_sequences())
-    def test_properness_matches_per_pin_loop(self, drawn):
-        host, pts = drawn
-        assert classify_pins(host, pts).proper_flags == loop_proper_flags(host, pts)
-
-    @settings(max_examples=300, deadline=None)
-    @given(pin_sequences())
     def test_matches_frozen_full_scan(self, drawn):
         host, pts = drawn
         seq = classify_pins(host, pts)
@@ -502,7 +436,7 @@ class TestClassifyPins:
 
 class TestChannelScanMatchesFrozen:
     """The band fixes the direction: one max and one min per band give
-    the pins the scan of every band point by ``_slice_direction`` gave."""
+    the pins the scan of every host point by ``_frozen_proper_pins`` gave."""
 
     def test_seeded_proper_pin_walks(self):
         rng = random.Random(1919)
@@ -510,12 +444,12 @@ class TestChannelScanMatchesFrozen:
         for _ in range(3000):
             n = rng.randint(3, 40)
             host = _trusted(rng.sample(range(1, n + 1), n))
-            pos_of = value_positions(host)
+            pos_of, host_points = value_positions(host), points(host)
             pins = [(q, host[q - 1]) for q in rng.sample(range(1, n + 1), 2)]
             prev, rect = _bbox(pins[:1]), _bbox(pins)
             while True:
                 found = _proper_pins(host, pos_of, pins[-1], rect, prev)
-                frozen = _frozen_channel_pins(host, pos_of, pins[-1], rect, prev)
+                frozen = _frozen_proper_pins(host_points, pins[-1], rect, prev)
                 assert {d: q for q, d in found} == frozen, (host, pins)
                 assert [d for _, d in found] == [
                     d for d in ("down", "left", "up", "right") if d in frozen
@@ -656,9 +590,8 @@ class TestReaching:
                     for fn, tpos in ((right_reaching, e), (left_reaching, s)):
                         seq = fn(pi, i, j)
                         assert all(seq.proper_flags[2:]), (pi, i, j)
-                        assert seq.proper_flags == loop_proper_flags(
-                            pi, seq.pins
-                        ), (pi, i, j)
+                        frozen = _frozen_classify(pi, seq.pins)
+                        assert (seq.directions, seq.proper_flags) == frozen, (pi, i, j)
                         assert seq.pins[-1][0] == tpos or (
                             len(seq.pins) == 2
                             and any(q[0] == tpos for q in seq.pins)

@@ -28,80 +28,93 @@ def run(*argv):
     return execute(list(argv))
 
 
-class TestVerdictCommands:
-    def test_profile(self):
-        res = run("profile", "3415672", "--y", "av(21)")
-        assert res.exit_code == 0 and res.stdout == "3142"
+def scan(store, max_len, *flags, x="av(25134)", y="av(321)"):
+    """``basis --x X --y Y --max-len MAX_LEN`` after the global ``flags``,
+    on the store at ``store`` unless it is None."""
+    on_store = () if store is None else ("--store", str(store))
+    basis = ("basis", "--x", x, "--y", y, "--max-len", str(max_len))
+    return run(*flags, *on_store, *basis)
 
-    def test_wreath_member_negative(self):
-        res = run("wreath-member", "2513764", "--x", "av(25134)", "--y", "av(321)")
-        assert res.exit_code == 1 and res.stdout == "non-member"
 
-    def test_wreath_member_positive(self):
-        res = run("wreath-member", "251364", "--x", "av(25134)", "--y", "av(321)")
-        assert res.exit_code == 0 and res.stdout == "member"
+def stored_records(path):
+    """The payloads of the store's basis records, in file order."""
+    return [
+        obj["payload"] for _, obj in store_lines(path) if obj["kind"] == "basis_record"
+    ]
 
-    def test_involve(self):
-        assert run("involve", "21", "12").exit_code == 1
-        assert run("involve", "21", "12").stdout == "no"
-        assert run("involve", "1324", "6351427").stdout == "yes"
 
-    def test_member(self):
-        assert run("member", "2513764", "av(321)").exit_code == 1
-        assert run("member", "123", "av321").exit_code == 0
+def stored_perms(path):
+    return [tuple(record["perm"]) for record in stored_records(path)]
 
-    def test_simple(self):
-        assert run("simple", "2413").exit_code == 0
-        assert run("simple", "132").exit_code == 1
+
+def above(lines, k):
+    """The printed records of lengths over k."""
+    return [line for line in lines if int(line.split()[0]) > k]
+
+
+def assert_stores_the_fresh_scan(path, fresh_scan):
+    """The store holds each record a fresh scan prints, once, and no other."""
+    assert sorted(stored_perms(path)) == sorted(
+        tuple(map(int, line.split()[1])) for line in fresh_scan
+    )
+
+
+def append_torn_record(path):
+    """Append the first half of a length-6 record, as a crash in the
+    middle of its write leaves it."""
+    record = _store_line(
+        "basis_record",
+        {"perm": [2, 6, 4, 1, 3, 5], "x_basis": [[2, 5, 1, 3, 4]],
+         "y_basis": [[3, 2, 1]], "length": 6},
+    )
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(record[: len(record) // 2])
+
+
+def assert_store_error_at_line_2(path):
+    """A scan stops at the store's corrupt line 2 and leaves the file as it was."""
+    size = os.path.getsize(path)
+    res = scan(path, 3, x="av(21)", y="av(21)")
+    assert res.exit_code == 2
+    assert res.stdout.startswith(f"store error: {path}: line 2: ")
+    assert os.path.getsize(path) == size
+
+
+MARKER = ("length_complete", {"job": "x", "length": 1})
+
+
+@pytest.fixture
+def store(tmp_path):
+    """The path of a store that does not exist yet."""
+    return str(tmp_path / "run.jsonl")
+
+
+@pytest.fixture(scope="module")
+def fresh_scan():
+    """The printed records of a fresh scan to length 7, one per line."""
+    return scan(None, 7).stdout.splitlines()
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The lengths of the basis passes run from here on, in order."""
+    real = basis_search.basis_elements_of_length
+    lengths = []
+
+    def spy(outer, inner, n, *rest, **kwargs):
+        lengths.append(n)
+        return real(outer, inner, n, *rest, **kwargs)
+
+    monkeypatch.setattr(basis_search, "basis_elements_of_length", spy)
+    return lengths
 
 
 class TestComputeCommands:
-    def test_inflate(self):
-        res = run("inflate", "132", "21", "2413", "321")
-        assert res.stdout == "217968543"
-
-    def test_reduce(self):
-        assert run("reduce", "3,5,4,7").stdout == "1324"
-        assert run("reduce", "3", "5", "4", "7").stdout == "1324"
-
-    def test_occurrences(self):
-        assert run("occurrences", "321", "2513764").stdout == "1"
-
-    def test_intervals(self):
-        out = run("intervals", "236745981").stdout.splitlines()
-        assert "2..6" in out
-
-    def test_skeleton_and_decompose(self):
-        assert run("skeleton", "346215").stdout == "2413"
-        out = run("decompose", "217968543").stdout.splitlines()
-        assert out[0] == "skeleton: 12"
-        assert out[1] == "block 1..2: 21"
-        assert out[2] == "block 3..9: 5746321"
-
     def test_enumerate(self):
         res = run("enumerate", "av(21)", "4")
         assert res.stdout == "1234"
         res = run("enumerate", "av321", "5")
         assert len(res.stdout.splitlines()) == 42
-
-    def test_deflations(self):
-        res = run("deflations", "234615", "--y", "av(123)")
-        lines = res.stdout.splitlines()
-        assert "23514" in lines and "234615" in lines
-
-    def test_minblock(self):
-        res = run("minblock", "236745981", "2", "3")
-        assert res.stdout.splitlines() == [
-            "positions 2..6",
-            "values 3..7",
-            "pattern 14523",
-        ]
-
-    def test_json_round_trip(self):
-        res = run("--json", "profile", "2513764", "--y", "av(321)")
-        data = json.loads(res.stdout)
-        assert data["profile"] == [2, 5, 1, 3, 6, 4]
-        assert Permutation(data["profile"]) == p("251364")
 
     def test_printed_perms_reparse(self):
         for argv in (
@@ -113,122 +126,47 @@ class TestComputeCommands:
             out = run(*argv).stdout.splitlines()[0]
             parse_perm(out)
 
-    def test_ascii_plot(self):
-        res = run("reduce", "20,40,10,30", "--ascii-plot")
-        lines = res.stdout.splitlines()
-        assert lines[0] == "2413"
-        assert lines[1:] == [".*..", "...*", "*...", "..*."]
-
-
-class TestPinsCommands:
-    def test_classify(self):
-        res = run(
-            "pins", "classify", "3,10,1,7,11,4,9,5,6,2,8",
-            "4", "6", "8", "7", "9", "11", "10", "1",
-        )
-        lines = res.stdout.splitlines()
-        assert lines[2].endswith("right not proper")
-        assert lines[3].endswith("up proper")
-        assert lines[7].endswith("left proper")
-
-    def test_classify_invalid(self):
-        res = run("pins", "classify", "2143", "1", "2", "4")
-        assert res.exit_code == 1 and "invalid" in res.stdout
-
-    def test_word(self):
-        assert run("pins", "word", "12:URUR").stdout == "142635"
-        assert run("pins", "word", "12:").stdout == "12"
-
-    def test_reach(self):
-        res = run("pins", "reach", "236745981", "2", "3")
-        lines = res.stdout.splitlines()
-        assert lines[0] == "p1 (2,3)"
-        assert lines[-1].startswith("p3 (6,5)")
-        res = run("pins", "reach", "2413", "3", "4", "--side", "left")
-        assert res.exit_code == 0
-
-    def test_probe(self):
-        res = run("pin-probe", "--y", "av(21)")
-        assert res.exit_code == 0 and res.stdout == "threshold = 1"
-        res = run("pin-probe", "--y", "av(321)", "--pin-cap", "6")
-        assert res.exit_code == 3 and "exceeded" in res.stdout
-
-
-class TestBasisCommands:
-    def test_basis_stdout(self):
-        res = run("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "5")
-        assert res.stdout == "2 21"
-
-    def test_verify_basis(self):
-        res = run("verify-basis", "2513764", "--x", "av(25134)", "--y", "av(321)")
-        assert res.exit_code == 0 and res.stdout == "basis element"
-        res = run("verify-basis", "12", "--x", "av(21)", "--y", "av(21)")
-        assert res.exit_code == 1
-
-    def test_antichain_gen_and_check(self):
-        res = run("antichain", "gen", "thm6", "3", "--upto")
-        lines = res.stdout.splitlines()
-        assert lines[0] == "2513764"
-        assert run("antichain", "check", *lines).exit_code == 0
-        assert run("antichain", "check", "1", "12").exit_code == 1
-
 
 class TestStore:
-    def test_fresh_resume_is_empty(self, tmp_path):
-        assert store_resume(str(tmp_path / "missing.jsonl")) == {}
+    def test_fresh_resume_is_empty(self, store):
+        assert store_resume(store) == {}
 
-    def test_basis_run_is_resumable(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        res = run("--store", path, "basis", "--x", "av(21)", "--y", "av(21)",
-                  "--max-len", "4")
+    def test_basis_run_is_resumable(self, store):
+        res = scan(store, 4, x="av(21)", y="av(21)")
         assert res.exit_code == 0 and res.stdout == "2 21"
-        assert store_resume(path) == {"av(21)|av(21)": 4}
+        assert store_resume(store) == {"av(21)|av(21)": 4}
 
-        before = os.path.getsize(path)
-        res = run("--store", path, "basis", "--x", "av(21)", "--y", "av(21)",
-                  "--max-len", "4")
-        assert res.stdout == "" and os.path.getsize(path) == before
+        before = os.path.getsize(store)
+        res = scan(store, 4, x="av(21)", y="av(21)")
+        assert res.stdout == "" and os.path.getsize(store) == before
 
-        res = run("--store", path, "basis", "--x", "av(21)", "--y", "av(21)",
-                  "--max-len", "6")
-        assert store_resume(path) == {"av(21)|av(21)": 6}
+        scan(store, 6, x="av(21)", y="av(21)")
+        assert store_resume(store) == {"av(21)|av(21)": 6}
 
-    def test_store_keys_are_per_job(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        run("--store", path, "basis", "--x", "av(21)", "--y", "av(21)",
-            "--max-len", "3")
-        run("--store", path, "basis", "--x", "av(321)", "--y", "av(21)",
-            "--max-len", "3")
-        done = store_resume(path)
-        assert done == {"av(21)|av(21)": 3, "av(321)|av(21)": 3}
+    def test_store_keys_are_per_job(self, store):
+        scan(store, 3, x="av(21)", y="av(21)")
+        scan(store, 3, x="av(321)", y="av(21)")
+        assert store_resume(store) == {"av(21)|av(21)": 3, "av(321)|av(21)": 3}
 
-    def test_over_cap_writes_no_record(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        res = run("--store", str(path), "basis", "--x", "av(21)", "--y", "av(21)",
-                  "--max-len", "11")
+    def test_over_cap_writes_no_record(self, store):
+        res = scan(store, 11, x="av(21)", y="av(21)")
         assert res.exit_code == 3 and res.stdout.startswith("limit: ")
-        assert not path.exists()
+        assert not os.path.exists(store)
 
     @pytest.mark.parametrize(
         "line", [b"{oops\n", b"\xff\xfe garbage\n"], ids=["bad json", "not utf-8"]
     )
-    def test_corrupt_line_is_fatal_with_line_number(self, tmp_path, line):
-        path = str(tmp_path / "run.jsonl")
-        store_append(path, [("length_complete", {"job": "x", "length": 1})])
-        with open(path, "ab") as fh:
+    def test_corrupt_line_is_fatal_with_line_number(self, store, line):
+        store_append(store, [MARKER])
+        with open(store, "ab") as fh:
             fh.write(line)
-        with pytest.raises(StoreError, match=f"{path}: line 2: "):
-            list(store_lines(path))
-        size = os.path.getsize(path)
-        res = run("--store", path, "basis", "--x", "av(21)", "--y", "av(21)",
-                  "--max-len", "3")
-        assert res.exit_code == 2
-        assert res.stdout.startswith(f"store error: {path}: line 2: ")
-        assert os.path.getsize(path) == size
+        with pytest.raises(StoreError, match=f"{store}: line 2: "):
+            list(store_lines(store))
+        assert_store_error_at_line_2(store)
 
     def test_torn_final_line_not_utf8_is_dropped(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"
-        store_append(str(path), [("length_complete", {"job": "x", "length": 1})])
+        store_append(str(path), [MARKER])
         intact = path.read_bytes()
         path.write_bytes(intact + b"\xff\xfe garb")
         assert store_resume(str(path)) == {"x": 1}
@@ -240,8 +178,7 @@ class TestStore:
         # nothing intact before it: the store is cut back to empty.
         path = tmp_path / "run.jsonl"
         path.write_bytes(b'{"kind":"basis_rec')
-        res = run("--store", str(path), "basis", "--x", "av(21)", "--y", "av(21)",
-                  "--max-len", "3")
+        res = scan(path, 3, x="av(21)", y="av(21)")
         assert res.exit_code == 0 and res.stdout == "2 21"
         assert "dropped a torn final line" in capsys.readouterr().err
         assert store_resume(str(path)) == {"av(21)|av(21)": 3}
@@ -263,52 +200,32 @@ class TestStore:
             "length float", "length null", "job list",
         ],
     )
-    def test_malformed_marker_is_a_store_error(self, tmp_path, payload):
-        path = str(tmp_path / "run.jsonl")
-        store_append(path, [("length_complete", {"job": "x", "length": 1})])
-        store_append(path, [("length_complete", payload)])
-        with pytest.raises(StoreError, match=f"{path}: line 2: length_complete"):
-            store_resume(path)
-        size = os.path.getsize(path)
-        res = run("--store", path, "basis", "--x", "av(21)", "--y", "av(21)",
-                  "--max-len", "3")
-        assert res.exit_code == 2
-        assert res.stdout.startswith(f"store error: {path}: line 2: ")
-        assert os.path.getsize(path) == size
+    def test_malformed_marker_is_a_store_error(self, store, payload):
+        store_append(store, [MARKER])
+        store_append(store, [("length_complete", payload)])
+        with pytest.raises(StoreError, match=f"{store}: line 2: length_complete"):
+            store_resume(store)
+        assert_store_error_at_line_2(store)
 
-    def test_json_records_reverify(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        res = run("--json", "--store", path, "basis", "--x", "av(25134)",
-                  "--y", "av(321)", "--max-len", "7")
-        assert res.exit_code == 0
-        assert store_resume(path) == {"av(25134)|av(321)": 7}
-        reloaded = 0
-        for _, obj in store_lines(path):
-            if obj["kind"] != "basis_record":
-                continue
-            payload = obj["payload"]
-            pi = Permutation(payload["perm"])
-            outer = av(*[Permutation(b) for b in payload["x_basis"]])
-            inner = av(*[Permutation(b) for b in payload["y_basis"]])
+    def test_json_records_reverify(self, store):
+        assert scan(store, 7, "--json").exit_code == 0
+        assert store_resume(store) == {"av(25134)|av(321)": 7}
+        records = stored_records(store)
+        assert records
+        for record in records:
+            pi = Permutation(record["perm"])
+            outer = av(*map(Permutation, record["x_basis"]))
+            inner = av(*map(Permutation, record["y_basis"]))
             assert verify_basis_element(pi, outer, inner).ok
-            reloaded += 1
-        assert reloaded > 0
 
-    def test_records_carry_no_run_dependent_fields(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        argv = ("--json", "--store", path, "basis", "--x", "av(25134)",
-                "--y", "av(321)", "--max-len", "6")
-        res = run(*argv)
-        payloads = [
-            obj["payload"]
-            for _, obj in store_lines(path)
-            if obj["kind"] == "basis_record"
-        ]
-        assert payloads
-        for payload in payloads:
-            assert set(payload) == {"perm", "x_basis", "y_basis", "length"}
-        os.remove(path)
-        assert run(*argv).stdout == res.stdout
+    def test_records_carry_no_run_dependent_fields(self, store):
+        res = scan(store, 6, "--json")
+        records = stored_records(store)
+        assert records
+        for record in records:
+            assert set(record) == {"perm", "x_basis", "y_basis", "length"}
+        os.remove(store)
+        assert scan(store, 6, "--json").stdout == res.stdout
 
     def test_env_var_supplies_default(self, tmp_path, monkeypatch):
         # Two runs in one process: each reads the variable as it runs,
@@ -317,88 +234,45 @@ class TestStore:
         for name in ("env.jsonl", "env2.jsonl"):
             path = str(tmp_path / name)
             monkeypatch.setenv("PERMWREATH_STORE", path)
-            run("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "3")
+            scan(None, 3, x="av(21)", y="av(21)")
             assert store_resume(path) == {"av(21)|av(21)": 3}
         assert cli._build_parser.cache_info().misses == 1
 
 
-SCAN = ("basis", "--x", "av(25134)", "--y", "av(321)")
-
-
-def stored_perms(path):
-    return [
-        tuple(obj["payload"]["perm"])
-        for _, obj in store_lines(path)
-        if obj["kind"] == "basis_record"
-    ]
-
-
-@pytest.fixture(scope="module")
-def fresh_scan():
-    """The printed records of a fresh scan to length 7, one per line."""
-    return run(*SCAN, "--max-len", "7").stdout.splitlines()
-
-
 class TestResume:
-    def _resume_from(self, tmp_path, k):
-        path = str(tmp_path / "run.jsonl")
-        if k:
-            run("--store", path, *SCAN, "--max-len", str(k))
-            assert store_resume(path) == {"av(25134)|av(321)": k}
-        return path, run("--store", path, *SCAN, "--max-len", "7")
-
     @pytest.mark.parametrize("k", range(7))
-    def test_resume_prints_what_a_fresh_scan_prints_above_k(
-        self, tmp_path, fresh_scan, k
-    ):
-        path, res = self._resume_from(tmp_path, k)
+    def test_resume_prints_what_a_fresh_scan_prints_above_k(self, store, fresh_scan, k):
+        if k:
+            scan(store, k)
+            assert store_resume(store) == {"av(25134)|av(321)": k}
+        res = scan(store, 7)
         assert res.exit_code == 0
-        assert res.stdout.splitlines() == [
-            line for line in fresh_scan if int(line.split()[0]) > k
-        ]
-        perms = stored_perms(path)
-        assert len(perms) == len(set(perms)) == len(fresh_scan)
-        assert store_resume(path) == {"av(25134)|av(321)": 7}
+        assert res.stdout.splitlines() == above(fresh_scan, k)
+        assert_stores_the_fresh_scan(store, fresh_scan)
+        assert store_resume(store) == {"av(25134)|av(321)": 7}
 
-    def test_one_length_pass_per_length(self, tmp_path, monkeypatch):
-        real = basis_search.basis_elements_of_length
-        lengths = []
+    def test_one_length_pass_per_length(self, store, passes):
+        scan(store, 6)
+        assert passes == [1, 2, 3, 4, 5, 6]
 
-        def spy(outer, inner, n, *rest, **kwargs):
-            lengths.append(n)
-            return real(outer, inner, n, *rest, **kwargs)
+    def test_complete_store_runs_no_pass(self, store, passes):
+        scan(store, 6)
+        passes.clear()
+        for max_len in (6, 4):
+            assert scan(store, max_len).stdout == ""
+        assert passes == []
+        scan(store, 7)
+        assert passes == [1, 2, 3, 4, 5, 6, 7]
 
-        monkeypatch.setattr(basis_search, "basis_elements_of_length", spy)
-        run("--store", str(tmp_path / "run.jsonl"), *SCAN, "--max-len", "6")
-        assert lengths == [1, 2, 3, 4, 5, 6]
-
-    def test_complete_store_runs_no_pass(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "run.jsonl")
-        run("--store", path, *SCAN, "--max-len", "6")
-        real = basis_search.basis_elements_of_length
-        lengths = []
-
-        def spy(outer, inner, n, *rest, **kwargs):
-            lengths.append(n)
-            return real(outer, inner, n, *rest, **kwargs)
-
-        monkeypatch.setattr(basis_search, "basis_elements_of_length", spy)
-        for max_len in ("6", "4"):
-            assert run("--store", path, *SCAN, "--max-len", max_len).stdout == ""
-        assert lengths == []
-        run("--store", path, *SCAN, "--max-len", "7")
-        assert lengths == [1, 2, 3, 4, 5, 6, 7]
-
-    def test_three_runs_on_one_store_print_and_store_fixed_bytes(self, tmp_path):
+    def test_three_runs_on_one_store_print_and_store_fixed_bytes(self, store):
         # A fresh run to 6, a resumed --json run to 8 and a no-op run to
         # 7: the sha256 of each stdout and of the store bytes are fixed.
-        path = str(tmp_path / "run.jsonl")
         digests = []
-        for flags, max_len in (((), "6"), (("--json",), "8"), ((), "7")):
-            res = run(*flags, "--store", path, *SCAN, "--max-len", max_len)
+        for flags, max_len in (((), 6), (("--json",), 8), ((), 7)):
+            res = scan(store, max_len, *flags)
             assert res.exit_code == 0
             digests.append(hashlib.sha256(res.stdout.encode()).hexdigest())
-        with open(path, "rb") as fh:
+        with open(store, "rb") as fh:
             digests.append(hashlib.sha256(fh.read()).hexdigest())
         assert digests == [
             "8e981f05245bb569f4e931534f85ca6df67fca4379e353818c35e182cd2353f2",
@@ -416,27 +290,20 @@ class TestResume:
             ("av(21)", "av()"),
         ],
     )
-    def test_resume_from_five_matches_a_fresh_scan(self, tmp_path, x, y):
+    def test_resume_from_five_matches_a_fresh_scan(self, store, x, y):
         # Inner classes with members at every length, so the carried set
         # of members inside the inner class is never empty.
-        scan = ("basis", "--x", x, "--y", y)
-        path = str(tmp_path / "run.jsonl")
-        first = run("--store", path, *scan, "--max-len", "5")
-        resumed = run("--store", path, *scan, "--max-len", "7")
-        fresh = run(*scan, "--max-len", "7")
+        first = scan(store, 5, x=x, y=y)
+        resumed = scan(store, 7, x=x, y=y)
+        fresh = scan(None, 7, x=x, y=y)
         assert first.exit_code == resumed.exit_code == fresh.exit_code == 0
         lines = fresh.stdout.splitlines()
-        assert first.stdout.splitlines() == [s for s in lines if int(s.split()[0]) <= 5]
-        assert resumed.stdout.splitlines() == [s for s in lines if int(s.split()[0]) > 5]
-        records = [
-            obj["payload"] for _, obj in store_lines(path) if obj["kind"] == "basis_record"
-        ]
-        fresh_json = run("--json", *scan, "--max-len", "7").stdout
-        assert records == [json.loads(line) for line in fresh_json.splitlines()]
+        assert first.stdout.splitlines() + resumed.stdout.splitlines() == lines
+        assert resumed.stdout.splitlines() == above(lines, 5)
+        fresh_json = scan(None, 7, "--json", x=x, y=y).stdout.splitlines()
+        assert stored_records(store) == [json.loads(line) for line in fresh_json]
 
-    def test_resume_tests_no_more_members_than_a_fresh_scan(
-        self, tmp_path, monkeypatch
-    ):
+    def test_resume_tests_no_more_members_than_a_fresh_scan(self, store, monkeypatch):
         # Deletions of the resumed length are looked up in the rebuilt
         # member layer, never re-tested, so resuming from 6 costs the same
         # greedy passes as scanning from scratch.
@@ -448,47 +315,40 @@ class TestResume:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(basis_search, "_greedy_blocks", counting)
-        path = str(tmp_path / "run.jsonl")
-        run("--store", path, *SCAN, "--max-len", "6")
+        scan(store, 6)
         calls[0] = 0
-        run("--store", path, *SCAN, "--max-len", "7")
+        scan(store, 7)
         resumed = calls[0]
         calls[0] = 0
-        run(*SCAN, "--max-len", "7")
+        scan(None, 7)
         assert resumed == calls[0]
 
 
 class TestCrashSafeStore:
     def test_failed_length_commit_leaves_no_duplicates(
-        self, tmp_path, monkeypatch, fresh_scan
+        self, store, monkeypatch, fresh_scan
     ):
-        path = str(tmp_path / "run.jsonl")
         real_fsync = os.fsync
 
         def failing_fsync(fd):
             # Fail the first flush that finds a length-6 line in the store,
             # as a crash in the middle of committing length 6 would.
-            with open(path, encoding="utf-8") as fh:
+            with open(store, encoding="utf-8") as fh:
                 if '"length":6' in fh.read():
                     monkeypatch.setattr(os, "fsync", real_fsync)
                     raise OSError("injected failure while committing length 6")
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", failing_fsync)
-        res = run("--store", path, *SCAN, "--max-len", "7")
+        res = scan(store, 7)
         assert res.exit_code == 2
         assert res.stdout.startswith("store error:") and "injected" in res.stdout
         assert os.fsync is real_fsync
 
-        res = run("--store", path, *SCAN, "--max-len", "7")
-        assert res.exit_code == 0
-        perms = stored_perms(path)
-        assert len(perms) == len(set(perms)) == len(fresh_scan)
-        assert sorted(perms) == sorted(
-            tuple(int(d) for d in line.split()[1]) for line in fresh_scan
-        )
+        assert scan(store, 7).exit_code == 0
+        assert_stores_the_fresh_scan(store, fresh_scan)
 
-    def test_one_fsync_per_length(self, tmp_path, monkeypatch):
+    def test_one_fsync_per_length(self, store, monkeypatch):
         real_fsync = os.fsync
         calls = [0]
 
@@ -497,10 +357,10 @@ class TestCrashSafeStore:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", counting)
-        run("--store", str(tmp_path / "run.jsonl"), *SCAN, "--max-len", "7")
+        scan(store, 7)
         assert calls[0] == 7
 
-    def test_one_store_append_per_length(self, tmp_path, monkeypatch):
+    def test_one_store_append_per_length(self, store, monkeypatch):
         # The benchmark tracer counts store commits by wrapping this name.
         real = cli.store_append
         batches = []
@@ -510,7 +370,7 @@ class TestCrashSafeStore:
             real(path, records)
 
         monkeypatch.setattr(cli, "store_append", recording)
-        run("--store", str(tmp_path / "run.jsonl"), *SCAN, "--max-len", "5")
+        scan(store, 5)
         assert [batch[-1] for batch in batches] == [
             ("length_complete", {"job": "av(25134)|av(321)", "length": n})
             for n in range(1, 6)
@@ -518,78 +378,56 @@ class TestCrashSafeStore:
         for batch in batches:
             assert {kind for kind, _ in batch[:-1]} <= {"basis_record"}
 
-    def test_torn_final_line_is_dropped_on_resume(
-        self, tmp_path, fresh_scan, capsys
-    ):
-        path = str(tmp_path / "run.jsonl")
-        run("--store", path, *SCAN, "--max-len", "5")
-        record = _store_line(
-            "basis_record",
-            {"perm": [2, 6, 4, 1, 3, 5], "x_basis": [[2, 5, 1, 3, 4]],
-             "y_basis": [[3, 2, 1]], "length": 6},
-        )
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(record[: len(record) // 2])
-
-        res = run("--store", path, *SCAN, "--max-len", "7")
+    def test_torn_final_line_is_dropped_on_resume(self, store, fresh_scan, capsys):
+        scan(store, 5)
+        append_torn_record(store)
+        res = scan(store, 7)
         assert res.exit_code == 0
-        assert res.stdout.splitlines() == [
-            line for line in fresh_scan if int(line.split()[0]) > 5
-        ]
+        assert res.stdout.splitlines() == above(fresh_scan, 5)
         assert "torn final line" in capsys.readouterr().err
-        perms = stored_perms(path)
-        assert len(perms) == len(set(perms)) == len(fresh_scan)
-        assert store_resume(path) == {"av(25134)|av(321)": 7}
+        assert_stores_the_fresh_scan(store, fresh_scan)
+        assert store_resume(store) == {"av(25134)|av(321)": 7}
 
     @pytest.mark.parametrize("stored", [0, 5], ids=["torn line alone", "after 5"])
     @pytest.mark.parametrize(
         "max_len, code, message",
-        [("11", 3, "limit: "), ("0", 2, "error: ")],
+        [(11, 3, "limit: "), (0, 2, "error: ")],
         ids=["over cap", "below one"],
     )
     def test_refused_run_leaves_a_torn_store_alone(
-        self, tmp_path, capsys, stored, max_len, code, message
+        self, store, capsys, stored, max_len, code, message
     ):
         # The length is checked before the store is read, so a refused
         # run neither repairs nor writes it.
-        path = str(tmp_path / "run.jsonl")
         if stored:
-            run("--store", path, *SCAN, "--max-len", str(stored))
-        record = _store_line(
-            "basis_record",
-            {"perm": [2, 6, 4, 1, 3, 5], "x_basis": [[2, 5, 1, 3, 4]],
-             "y_basis": [[3, 2, 1]], "length": 6},
-        )
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(record[: len(record) // 2])
-        with open(path, "rb") as fh:
+            scan(store, stored)
+        append_torn_record(store)
+        with open(store, "rb") as fh:
             before = fh.read()
         capsys.readouterr()
 
-        res = run("--store", path, *SCAN, "--max-len", max_len)
+        res = scan(store, max_len)
         assert res.exit_code == code and res.stdout.startswith(message)
-        with open(path, "rb") as fh:
+        with open(store, "rb") as fh:
             assert fh.read() == before
         assert "dropped a torn final line" not in capsys.readouterr().err
 
-    def test_whole_final_record_without_newline_is_kept(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        run("--store", path, *SCAN, "--max-len", "5")
-        with open(path, "rb+") as fh:
-            fh.truncate(os.path.getsize(path) - 1)
-        res = run("--store", path, *SCAN, "--max-len", "6")
+    def test_whole_final_record_without_newline_is_kept(self, store):
+        scan(store, 5)
+        with open(store, "rb+") as fh:
+            fh.truncate(os.path.getsize(store) - 1)
+        res = scan(store, 6)
         assert res.exit_code == 0 and res.stdout
-        assert store_resume(path) == {"av(25134)|av(321)": 6}
+        assert store_resume(store) == {"av(25134)|av(321)": 6}
 
-    def test_corrupt_inner_line_stays_fatal(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        run("--store", path, *SCAN, "--max-len", "3")
-        with open(path, encoding="utf-8") as fh:
+    def test_corrupt_inner_line_stays_fatal(self, store):
+        scan(store, 3)
+        with open(store, encoding="utf-8") as fh:
             lines = fh.readlines()
         lines[1] = lines[1][:10] + "\n"
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(store, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
-        res = run("--store", path, *SCAN, "--max-len", "4")
+        res = scan(store, 4)
         assert res.exit_code == 2 and "line 2" in res.stdout
 
 
@@ -597,29 +435,13 @@ class TestErrors:
     def test_unknown_command(self):
         assert run("frobnicate").exit_code == 2
 
-    def test_bad_permutation(self):
-        assert run("simple", "1  3").exit_code == 2
-
     def test_jobs_option_is_gone(self):
-        res = run("--jobs", "2", "basis", "--x", "av(21)", "--y", "av(21)",
-                  "--max-len", "3")
-        assert res.exit_code == 2
+        assert scan(None, 3, "--jobs", "2", x="av(21)", y="av(21)").exit_code == 2
 
     def test_enum_cap_option_is_gone(self):
         res = run("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "3",
                   "--enum-cap", "5")
         assert res.exit_code == 2
-
-    def test_unknown_class(self):
-        assert run("member", "123", "av-nonsense").exit_code == 2
-
-    def test_cap_exceeded_is_exit_three(self):
-        res = run("enumerate", "av(321)", "11")
-        assert res.exit_code == 3
-        res = run("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "12")
-        assert res.exit_code == 3
-        res = run("deflations", "10 1 8 4 6 9 11 7 5 2 3", "--y", "av(21)")
-        assert res.exit_code == 3
 
     @pytest.mark.parametrize(
         "name", ["nonexistent/s.jsonl", "."], ids=["missing directory", "directory"]
@@ -636,17 +458,6 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
         assert err.startswith("store error:")
-
-    def test_perm_length_cap(self):
-        long_perm = " ".join(str(v) for v in range(1, 70))
-        assert run("simple", long_perm).exit_code == 3
-        # raising the cap lets the identity through (it is not simple)
-        assert run("--max-perm-len", "80", "simple", long_perm).exit_code == 1
-
-    @pytest.mark.parametrize("max_len", ["0", "-3"])
-    def test_basis_max_len_below_one(self, max_len):
-        res = run("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", max_len)
-        assert (res.exit_code, res.stdout) == (2, "error: max_len must be at least 1")
 
 
 class TestLongPermutations:
@@ -777,14 +588,16 @@ class TestLongPermutations:
 
 
 # The exact stdout and exit code of one command line per subcommand and
-# outcome, in text and in --json mode.  Usage errors and limits print
-# the same in both modes.
+# outcome, in text and in --json mode: the one place a command line's
+# expected output is written.  Usage errors and limits print the same in
+# both modes.
 LONG = " ".join(str(v) for v in range(1, 70))
 
 GOLDEN = [
     (("involve", "21", "12"), 1, "no", '{"involves": false}'),
     (("involve", "1324", "6351427"), 0, "yes", '{"involves": true}'),
     (("occurrences", "321", "2513764"), 0, "1", '{"occurrences": 1}'),
+    (("occurrences", "1", "312"), 0, "3", '{"occurrences": 3}'),
     (
         ("inflate", "132", "21", "2413", "321"),
         0,
@@ -792,6 +605,7 @@ GOLDEN = [
         '{"perm": [2, 1, 7, 9, 6, 8, 5, 4, 3]}',
     ),
     (("reduce", "3,5,4,7"), 0, "1324", '{"perm": [1, 3, 2, 4]}'),
+    (("reduce", "3", "5", "4", "7"), 0, "1324", '{"perm": [1, 3, 2, 4]}'),
     (
         ("reduce", "20,40,10,30", "--ascii-plot"),
         0,
@@ -804,6 +618,7 @@ GOLDEN = [
         ),
         '{"perm": [2, 4, 1, 3]}',
     ),
+    (("intervals", "1"), 0, "1..1", '{"intervals": [[1, 1]]}'),
     (
         ("intervals", "2413"),
         0,
@@ -846,6 +661,13 @@ GOLDEN = [
     (("simple", "2413"), 0, "simple", '{"simple": true}'),
     (("simple", "132"), 1, "not simple", '{"simple": false}'),
     (("skeleton", "346215"), 0, "2413", '{"perm": [2, 4, 1, 3]}'),
+    (("skeleton", "456123"), 0, "21", '{"perm": [2, 1]}'),
+    (
+        ("decompose", "1"),
+        0,
+        ("skeleton: 1", "block 1..1: 1"),
+        '{"blocks": [[1]], "segments": [[1, 1]], "skeleton": [1]}',
+    ),
     (
         ("decompose", "217968543"),
         0,
@@ -872,6 +694,7 @@ GOLDEN = [
     (("member", "2513764", "av(321)"), 1, "non-member", '{"member": false}'),
     (("member", "123", "av321"), 0, "member", '{"member": true}'),
     (("enumerate", "av(21)", "4"), 0, "1234", '{"count": 1, "perms": [[1, 2, 3, 4]]}'),
+    (("enumerate", "av(12,21)", "3"), 0, "", '{"count": 0, "perms": []}'),
     (
         ("enumerate", "av321", "4"),
         0,
@@ -904,6 +727,12 @@ GOLDEN = [
         0,
         "3142",
         '{"blocks": [[1, 2], [1], [1, 2, 3], [1]], "profile": [3, 1, 4, 2], "segments": [[1, 2], [3, 3], [4, 6], [7, 7]]}',
+    ),
+    (
+        ("profile", "2513764", "--y", "av(321)"),
+        0,
+        "251364",
+        '{"blocks": [[1], [1], [1], [1], [2, 1], [1]], "profile": [2, 5, 1, 3, 6, 4], "segments": [[1, 1], [2, 2], [3, 3], [4, 4], [5, 6], [7, 7]]}',
     ),
     (
         ("profile", "2513764", "--y", "av(321)", "--blocks", "--ascii-plot"),
@@ -951,6 +780,12 @@ GOLDEN = [
         0,
         "member",
         '{"member": true}',
+    ),
+    (
+        ("wreath-member", "1", "--x", "av(21)", "--y", "av(1)"),
+        1,
+        "non-member",
+        '{"member": false}',
     ),
     (
         ("minblock", "236745981", "2", "3"),
@@ -1015,6 +850,7 @@ GOLDEN = [
         "142635",
         '{"perm": [1, 4, 2, 6, 3, 5], "word": "12:URUR"}',
     ),
+    (("pins", "word", "12:"), 0, "12", '{"perm": [1, 2], "word": "12:"}'),
     (
         ("pins", "word", "21:LDR", "--ascii-plot"),
         0,
@@ -1239,6 +1075,18 @@ GOLDEN = [
         "limit: max_len 11 exceeds the cap 10",
     ),
     (
+        ("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "0"),
+        2,
+        "error: max_len must be at least 1",
+        "error: max_len must be at least 1",
+    ),
+    (
+        ("basis", "--x", "av(21)", "--y", "av(21)", "--max-len", "-3"),
+        2,
+        "error: max_len must be at least 1",
+        "error: max_len must be at least 1",
+    ),
+    (
         ("verify-basis", "2513764", "--x", "av(25134)", "--y", "av(321)"),
         0,
         "basis element",
@@ -1264,6 +1112,12 @@ GOLDEN = [
             "251374986",
         ),
         '{"perms": [[2, 5, 1, 3, 7, 6, 4], [2, 5, 1, 3, 7, 4, 9, 8, 6]]}',
+    ),
+    (
+        ("antichain", "gen", "thm6", "3", "--upto"),
+        0,
+        ("2513764", "251374986", "2 5 1 3 7 4 9 6 11 10 8"),
+        '{"perms": [[2, 5, 1, 3, 7, 6, 4], [2, 5, 1, 3, 7, 4, 9, 8, 6], [2, 5, 1, 3, 7, 4, 9, 6, 11, 10, 8]]}',
     ),
     (
         ("antichain", "gen", "thm6", "0"),
@@ -1302,6 +1156,12 @@ GOLDEN = [
     ),
     (
         ("antichain", "check", "2513764", "251374986"),
+        0,
+        "antichain",
+        '{"antichain": true}',
+    ),
+    (
+        ("antichain", "check", "2513764", "251374986", "2 5 1 3 7 4 9 6 11 10 8"),
         0,
         "antichain",
         '{"antichain": true}',

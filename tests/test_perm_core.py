@@ -48,6 +48,10 @@ class TestPermutation:
             Permutation((1, 1, 2))
         with pytest.raises(ValueError):
             Permutation((0, 1))
+        # Entries must be ints: 1.0 would print as "1.0", which no parser reads.
+        for vals in ((1.0, 2.0), (True,)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                Permutation(vals)
         # Only text read by parse_perm is capped.
         assert len(Permutation(range(1, 100))) == 99
         long_text = " ".join(str(v) for v in range(1, 100))
@@ -425,6 +429,10 @@ class TestInflate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             inflate(p("12"), [p("1")])
+        # The skeleton is checked like the blocks.
+        for skeleton in ((2, 3), (1, 1)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                inflate(skeleton, [(1,), (1,)])
 
     @given(perm_values)
     def test_output_is_already_reduced(self, vals):

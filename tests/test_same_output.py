@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import importlib.util
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from permwreath import cli
 from permwreath.blocks_pins import PIN_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,17 +37,29 @@ def self_run():
     return code, out.getvalue(), seen
 
 
+def leaf_commands(parser, names=()):
+    """The name path of every command of ``parser`` that has no subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_commands(sub, (*names, name))
+            return
+    yield names
+
+
 def test_the_tree_against_itself_is_identical(self_run):
     code, out, (parent, change) = self_run
     assert code == 0
     assert out == f"identical: {len(parent)} invocations\n"
     assert parent == change
     assert len(parent) > 400
-    commands = {argv[0] for argv, *_ in parent}
-    assert commands == {
-        "basis", "pin-probe", "verify-basis", "pins", "minblock", "decompose",
-        "profile", "skeleton", "wreath-member", "deflations", "--json",
-    }
+    # Every leaf command runs, by group and name, and some in --json mode.
+    leaves = set(leaf_commands(cli._build_parser()))
+    groups = {leaf[0] for leaf in leaves if len(leaf) > 1}
+    lines = [argv[1:] if argv[0] == "--json" else argv for argv, *_ in parent]
+    assert {tuple(argv[: 1 + (argv[0] in groups)]) for argv in lines} == leaves
+    assert len(leaves) == 22
+    assert any(argv[0] == "--json" for argv, *_ in parent)
     # The probe runs at its deepest cap as well as at 20.
     caps = {argv[-1] for argv, *_ in parent if argv[0] == "pin-probe"}
     assert caps == {"20", str(PIN_CAP)}

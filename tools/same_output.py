@@ -18,14 +18,24 @@ lines through ``cli.execute``:
   family's outer class and each inner class the family defeats, and
   ``verify-basis`` of the member less its first point, a member of the
   product, against the family's first inner class;
-* ``pins reach`` (both sides), ``minblock``, ``decompose`` and
-  ``profile --blocks`` on those members;
-* ``decompose`` and ``skeleton`` of every permutation of length <= 5
-  and of the sum-, skew- and simply-decomposable hosts in
-  ``DECOMPOSED``, since every family member above is indecomposable
-  both ways;
-* ``deflations`` of every permutation of length <= 5 against each
-  block class in ``DEFLATION_CLASSES``;
+* ``pins reach`` (both sides), ``minblock``, ``decompose``,
+  ``profile --blocks``, ``simple`` and ``reduce`` (of every other entry)
+  on those members;
+* ``involve`` and ``occurrences`` of each pattern of length 3 in those
+  members and in the hosts in ``DECOMPOSED``;
+* ``antichain gen`` and ``antichain check`` of each family's first
+  members, and ``check`` of them with ``1`` added, which is no antichain;
+* ``decompose``, ``skeleton``, ``intervals`` and ``simple`` of every
+  permutation of length <= 5 and of the sum-, skew- and
+  simply-decomposable hosts in ``DECOMPOSED``, since every family member
+  above is indecomposable both ways;
+* ``deflations`` of every permutation of length <= 5, ``member`` of
+  every permutation of length <= 4, and ``enumerate`` to length 5, for
+  each class in ``DEFLATION_CLASSES``;
+* ``pins classify`` of each permutation of length 4 at each order of its
+  four positions, valid or not; ``pins word`` of every word of at
+  most two letters, perpendicular or not; ``inflate`` of each skeleton of
+  length <= 3 by hosts from ``DECOMPOSED``, and by too few blocks;
 * a ``--json`` copy of some of the above.
 
 The exit code, the stdout and the store's bytes of each invocation are
@@ -73,7 +83,8 @@ FAMILY_K = 4
 SHORT_N = 5
 DECOMPOSED = ["217968543", "456123", "123456", "346215"]
 
-#: The block classes the short permutations are deflated by.
+#: The classes the short permutations are deflated by, tested in, and
+#: enumerated to length SHORT_N.
 DEFLATION_CLASSES = ["av(21)", "av(123)", "av(321)", "av(3412,2413)"]
 
 
@@ -96,11 +107,19 @@ def invocations() -> list[list[str]]:
         for cap in (20, PIN_CAP)
         for name in sorted(REGISTRY)
     ]
-    for fam in FAMILIES.values():
+    short = [
+        "".join(map(str, pi))
+        for n in range(1, SHORT_N + 1)
+        for pi in itertools.permutations(range(1, n + 1))
+    ]
+    members = []
+    for name, fam in FAMILIES.items():
         outer = class_literal(fam.outer)
+        upto = []
         for k in range(1, FAMILY_K + 1):
             pi = antichain_member(fam, k)
             text, n = str(pi), len(pi)
+            upto.append(text)
             m = n // 2
             vals = [v + 1 if v >= m else v for v in pi]
             longer = " ".join(map(str, vals[: m - 1] + [m] + vals[m - 1 :]))
@@ -117,15 +136,34 @@ def invocations() -> list[list[str]]:
                 runs.append(["minblock", text, str(i), str(j)])
             runs.append(["decompose", text])
             runs.append(["profile", text, "--y", class_literal(fam.inner), "--blocks"])
-    short = [
-        "".join(map(str, pi))
-        for n in range(1, SHORT_N + 1)
-        for pi in itertools.permutations(range(1, n + 1))
-    ]
+            runs.append(["simple", text])
+            runs += [["reduce", ",".join(map(str, pi[s::2]))] for s in (0, 1)]
+        runs.append(["antichain", "gen", name, str(FAMILY_K), "--upto"])
+        runs.append(["antichain", "gen", name, "1", "--ascii-plot"])
+        runs += [["antichain", "check", *upto], ["antichain", "check", *upto, "1"]]
+        members += upto
+    for sigma in (t for t in short if len(t) == 3):
+        for host in DECOMPOSED + members:
+            runs += [["involve", sigma, host], ["occurrences", sigma, host]]
     for text in short + DECOMPOSED:
-        runs += [["decompose", text], ["skeleton", text]]
+        for cmd in ("decompose", "skeleton", "intervals", "simple"):
+            runs.append([cmd, text])
     for y in DEFLATION_CLASSES:
         runs += [["deflations", text, "--y", y] for text in short]
+        runs += [["member", text, y] for text in short if len(text) <= 4]
+        runs += [["enumerate", y, str(n)] for n in range(1, SHORT_N + 1)]
+    four = [text for text in short if len(text) == 4]
+    runs += [["pins", "classify", host, *order] for host in four for order in four]
+    runs += [
+        ["pins", "word", origin + ":" + "".join(letters)]
+        for origin in ("12", "21")
+        for m in range(3)
+        for letters in itertools.product("LRUD", repeat=m)
+    ]
+    runs += [
+        ["inflate", text, *DECOMPOSED[: len(text)]] for text in short if len(text) <= 3
+    ]
+    runs.append(["inflate", "21", "1"])
     return runs + [["--json", *argv] for argv in runs[::7]]
 
 
