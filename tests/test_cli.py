@@ -604,8 +604,15 @@ GOLDEN = [
         "217968543",
         '{"perm": [2, 1, 7, 9, 6, 8, 5, 4, 3]}',
     ),
+    (("inflate", "21", "1"), 2, "error: need 2 blocks, got 1", "error: need 2 blocks, got 1"),
     (("reduce", "3,5,4,7"), 0, "1324", '{"perm": [1, 3, 2, 4]}'),
     (("reduce", "3", "5", "4", "7"), 0, "1324", '{"perm": [1, 3, 2, 4]}'),
+    (
+        ("reduce", "3", "3"),
+        2,
+        "error: entries must be distinct: [3, 3]",
+        "error: entries must be distinct: [3, 3]",
+    ),
     (
         ("reduce", "20,40,10,30", "--ascii-plot"),
         0,
@@ -763,6 +770,7 @@ GOLDEN = [
         ),
         '{"deflations": [[2, 3, 5, 1, 4], [2, 3, 4, 6, 1, 5]]}',
     ),
+    (("deflations", "21", "--y", "av(1)"), 0, "", '{"deflations": []}'),
     (
         ("deflations", "10 1 8 4 6 9 11 7 5 2 3", "--y", "av(21)"),
         3,
@@ -901,6 +909,12 @@ GOLDEN = [
             "p5 (6,4) right proper",
         ),
         '{"directions": [null, null, "right", "up", "right"], "pins": [[1, 1], [3, 3], [5, 2], [4, 5], [6, 4]], "proper": [null, null, true, true, true]}',
+    ),
+    (
+        ("pins", "reach", "2413", "3", "1"),
+        2,
+        "error: need 1 <= i < j <= 4, got i=3, j=1",
+        "error: need 1 <= i < j <= 4, got i=3, j=1",
     ),
     (
         ("pins",),
