@@ -30,8 +30,9 @@ verdict is memoised, since no later test repeats a whole host.
 The antichain families are parameterised generators of arbitrarily long
 basis elements for specific products, each pairing an outer class with
 the inner classes it defeats.  The seven families come from two
-constructions: five are one oscillating spine with a tail, and two are
-one spiral around a core.
+constructions.  Five are near-diagonal, each one periodic word of
+offsets pi(i) - i: a head, the period (2, -2) once per step, and a tail
+(``PeriodicFamily``).  Two are one spiral around a core.
 """
 
 from __future__ import annotations
@@ -373,34 +374,31 @@ def verify_basis_element(
 
 # --- antichain families -----------------------------------------------
 
-def _spine(k: int) -> list[int]:
-    # 2 5 1 3, then the pairs (2j+3, 2j) for j = 2..k.
-    return [2, 5, 1, 3, *(v for j in range(2, k + 1) for v in (2 * j + 3, 2 * j))]
+#: The period of every offset row: each step adds a high and a low point.
+PERIOD = (2, -2)
 
 
-def _thm6(k: int) -> list[int]:
-    return _spine(k) + [2 * k + 5, 2 * k + 4, 2 * k + 2]
+@dataclass(frozen=True)
+class PeriodicFamily:
+    """A near-diagonal family, written by its offsets pi(i) - i.
 
+    Members 1..len(first) are the rows of ``first``, given as values.
+    Every later member k has the offsets ``head``, then ``PERIOD``
+    repeated k - 1 - len(first) times, then ``tail``.
 
-def _ex2ii(k: int) -> list[int]:
-    return _spine(k) + [2 * k + 6, 2 * k + 5, 2 * k + 4, 2 * k + 2]
+    >>> FAMILIES["thm6"].generate(2)
+    [2, 5, 1, 3, 7, 4, 9, 8, 6]
+    """
 
+    head: tuple[int, ...]
+    tail: tuple[int, ...]
+    first: tuple[tuple[int, ...], ...] = ()
 
-def _swap_last_two(vals: list[int]) -> list[int]:
-    return vals[:-2] + [vals[-1], vals[-2]]
-
-
-def _ex2iii(k: int) -> list[int]:
-    return _swap_last_two(_ex2ii(k))
-
-
-def _ex3_4321(k: int) -> list[int]:
-    # ex2ii with the values 3 and 4 exchanged, as its anchor 25134 -> 25143.
-    return [7 - v if v in (3, 4) else v for v in _ex2ii(k)]
-
-
-def _ex3_4312(k: int) -> list[int]:
-    return _swap_last_two(_ex3_4321(k))
+    def __call__(self, k: int) -> list[int]:
+        if k <= len(self.first):
+            return list(self.first[k - 1])
+        offsets = (*self.head, *PERIOD * (k - 1 - len(self.first)), *self.tail)
+        return [i + d for i, d in enumerate(offsets, 1)]
 
 
 def _widdershins(k: int, core: tuple[int, ...]) -> list[int]:
@@ -444,38 +442,30 @@ class AntichainFamily:
         return self.inners[0]
 
 
-def _family(name, gen, outer_name, inner_names) -> AntichainFamily:
-    return AntichainFamily(
-        name, gen, named(outer_name), tuple(named(s) for s in inner_names)
-    )
-
+# The offset rows.  The av25134 rows share one head and the av25143 rows
+# another, after a k = 1 member that is no offset word of the row.
+_HEAD_25134, _HEAD_25143 = (1, 3, -2, -1), (1, 3, -2, 0, 2, -3)
+_THM6 = PeriodicFamily(_HEAD_25134, (2, 0, -3))
+_EX2II = PeriodicFamily(_HEAD_25134, (3, 1, -1, -4))
+_EX2III = PeriodicFamily(_HEAD_25134, (3, 1, -3, -2))
+_EX3_4321 = PeriodicFamily(_HEAD_25143, (3, 1, -1, -4), ((2, 5, 1, 4, 8, 7, 6, 3),))
+_EX3_4312 = PeriodicFamily(_HEAD_25143, (3, 1, -3, -2), ((2, 5, 1, 4, 8, 7, 3, 6),))
 
 FAMILIES: dict[str, AntichainFamily] = {
-    f.name: f
-    for f in (
-        _family("thm6", _thm6, "av25134", ("av321", "av321-2341", "av321-3412")),
-        _family(
+    name: AntichainFamily(name, gen, named(outer), tuple(map(named, inners)))
+    for name, gen, outer, inners in (
+        ("thm6", _THM6, "av25134", ("av321", "av321-2341", "av321-3412")),
+        (
             "ex2ii",
-            _ex2ii,
+            _EX2II,
             "av25134",
-            (
-                "av4321-4312",
-                "av4321-4231",
-                "av4321-4213",
-                "av4321-3412",
-                "av4321-3214",
-            ),
+            ("av4321-4312", "av4321-4231", "av4321-4213", "av4321-3412", "av4321-3214"),
         ),
-        _family(
-            "ex2iii",
-            _ex2iii,
-            "av25134",
-            ("av4312-4231", "av4312-4213", "av4312-3421"),
-        ),
-        _family("ex3-4321-4123", _ex3_4321, "av25143", ("av4321-4123",)),
-        _family("ex3-4312-4123", _ex3_4312, "av25143", ("av4312-4123",)),
-        _family("widdershins-2413", _wid_2413, "av31542", ("av3412-2413",)),
-        _family("widdershins-2143", _wid_2143, "av412563", ("av3412-2143",)),
+        ("ex2iii", _EX2III, "av25134", ("av4312-4231", "av4312-4213", "av4312-3421")),
+        ("ex3-4321-4123", _EX3_4321, "av25143", ("av4321-4123",)),
+        ("ex3-4312-4123", _EX3_4312, "av25143", ("av4312-4123",)),
+        ("widdershins-2413", _wid_2413, "av31542", ("av3412-2413",)),
+        ("widdershins-2143", _wid_2143, "av412563", ("av3412-2143",)),
     )
 }
 
@@ -502,8 +492,8 @@ def antichain_member(family: str | AntichainFamily, k: int) -> Permutation:
 def family_points(family: AntichainFamily, k: int, *, upto: bool = False) -> int:
     """Points in the k-th member of ``family``, or in members 1..k with ``upto``.
 
-    Every family's member length is affine in k: each step of the spine
-    adds one pair of points and each turn of the spiral two.  So the
+    Every family's member length is affine in k: each period of an
+    offset row adds two points and each turn of a spiral four.  So the
     first two members fix the line, and nothing longer is built.
 
     >>> family_points(FAMILIES["thm6"], 10**5)

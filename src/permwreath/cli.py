@@ -423,9 +423,16 @@ def _inflate(ns) -> Output:
     return EXIT_OK, [{"perm": list(result)}], [format_perm(result)]
 
 
+def _entry(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"cannot parse entry {text!r}: expected an integer") from None
+
+
 def _reduce(ns) -> Output:
     entries = " ".join(ns.entries).replace(",", " ").split()
-    result = reduce([int(e) for e in entries])
+    result = reduce([_entry(e) for e in entries])
     lines = [format_perm(result)]
     lines += _plots(ns, [result])
     return EXIT_OK, [{"perm": list(result)}], lines

@@ -14,7 +14,12 @@ from permwreath.basis_search import (
     verify_basis_element,
     wreath_basis,
 )
-from permwreath.decomposition import INDECOMPOSABLE_BOTH, sum_skew_status
+from permwreath.decomposition import (
+    INDECOMPOSABLE_BOTH,
+    SKEW_DECOMPOSABLE,
+    SUM_DECOMPOSABLE,
+    sum_skew_status,
+)
 from permwreath.perm_core import (
     ONE,
     CapExceeded,
@@ -71,7 +76,8 @@ class TestAntichainMember:
 
 # A frozen copy of the family generators as they were first written, one
 # explicit body per family with the k = 1 members spelled out.  It is the
-# oracle for the shared spine and spiral constructions in basis_search.
+# oracle for the offset rows (PeriodicFamily) and the spiral construction
+# in basis_search.
 
 def _oracle_interleave(highs, lows):
     out = []
@@ -480,6 +486,84 @@ class TestWreathBasis:
     def test_empty_block_class_gives_point_basis(self):
         recs = wreath_basis(av(21), av(1), 3)
         assert [r.perm for r in recs] == [p("1")]
+
+
+def _components(pi, skew):
+    """The sum components of ``pi``, or its skew components, as patterns.
+
+    A sum cut after i entries has the values 1..i on its left; a skew cut
+    has the top i values there.
+    """
+    n = len(pi)
+    cuts, low, high = [0], n + 1, 0
+    for i, v in enumerate(pi, 1):
+        low, high = min(low, v), max(high, v)
+        if (low == n - i + 1) if skew else (high == i):
+            cuts.append(i)
+    return [reduce(pi[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+@pytest.mark.parametrize(
+    "outer, skew", [(av(21), False), (av(12), True)], ids=["sum", "skew"]
+)
+def test_member_counts_match_the_closure_of_the_inner_class(outer, skew):
+    # av(21) wr Y is the sum closure of Y and av(12) wr Y its skew
+    # closure, so the product has 1/(1 - s(x)) - 1 members per length,
+    # where s counts the members of Y that are sum-indecomposable
+    # (skew-indecomposable).  Y's members come from enumerate_members,
+    # which shares no code with the scan's deflations.
+    inner, max_len = av(123), 9
+    in_y = {pi for n in range(1, max_len + 1) for pi in enumerate_members(inner, n)}
+    cut = SKEW_DECOMPOSABLE if skew else SUM_DECOMPOSABLE
+    s = [0] * (max_len + 1)
+    for pi in in_y:
+        if len(pi) == 1 or sum_skew_status(pi) != cut:
+            s[len(pi)] += 1
+    counts = [1]
+    for n in range(1, max_len + 1):
+        counts.append(sum(s[j] * counts[n - j] for j in range(1, n + 1)))
+
+    def in_closure(pi):
+        return all(c in in_y for c in _components(pi, skew))
+
+    members, in_inner = set(), set()
+    for n in range(1, max_len + 1):
+        found, members, new_inner = basis_elements_of_length(
+            outer, inner, n, members, in_inner
+        )
+        in_inner |= new_inner
+        assert len(members) == counts[n], n
+        for beta in found:
+            assert not in_closure(beta), beta
+            assert n == 1 or all(
+                in_closure(delete_point(beta, q)) for q in range(1, n + 1)
+            ), beta
+
+
+@pytest.mark.parametrize(
+    "x, y, z, size",
+    [
+        (av(25134), av(321), av(12), 19),
+        (av(21), av(231), av(321), 14),
+        (av(123), av(21), av(2413, 3142), 8),
+        (av(321), av(12), av(21), 22),
+    ],
+    ids=lambda c: class_literal(c) if isinstance(c, avoidance.PermClass) else str(c),
+)
+def test_wreath_product_is_associative_on_truncated_bases(x, y, z, size):
+    # Substitution is associative, so (X wr Y) wr Z = X wr (Y wr Z).  The
+    # basis of a product scanned to length n is a class that agrees with
+    # it on every length up to n, and a scan to n reads its classes only
+    # there, so both groupings built from truncated bases agree to n.
+    n = 7
+
+    def scanned(outer, inner):
+        return av(*(r.perm for r in wreath_basis(outer, inner, n)))
+
+    left = [r.perm for r in wreath_basis(scanned(x, y), z, n)]
+    right = [r.perm for r in wreath_basis(x, scanned(y, z), n)]
+    assert left == right
+    assert len(left) == size
 
 
 def _frozen_length_pass(outer, inner, n, prev_members, prev_inner, *, keep_members=True):

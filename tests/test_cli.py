@@ -1230,6 +1230,12 @@ GOLDEN = [
         "limit: length 4 exceeds the cap 3",
         "limit: length 4 exceeds the cap 3",
     ),
+    (
+        ("reduce", "3", "x"),
+        2,
+        "error: cannot parse entry 'x': expected an integer",
+        "error: cannot parse entry 'x': expected an integer",
+    ),
 ]
 
 
