@@ -22,14 +22,16 @@ direction: the value band holds R and L pins, the position band U and
 D pins, so a ``max`` and a ``min`` find the furthest, and the pins come
 back in the order the reaching search pushes them.  Reaching sequences
 are proper by construction (flags set, not rechecked) and searched as
-linked paths.  A pin word is realised by one insertion per letter into
-each axis's rank order.  The probe makes the same insertion on its
-parent word's realisation, so it grows each word's host in one step
-instead of realising the word again; the new pin is an extreme of the
-host, and the parent word is alive, so a word is tested only for
-occurrences through its newest pin: the pinned test of
-``avoidance._in_class``.  An origin's newest pin is its second point,
-and the origin less that point is the one-point permutation.
+linked paths.  Both pin-word realisers apply one placement rule,
+``_pin_ranks``, which gives each new pin's position and value ranks: a
+whole word is realised by one insertion per letter into each axis's
+rank order, and the probe inserts the pin into its parent word's
+realisation, so it grows each word's host in one step instead of
+realising the word again.  The new pin is an extreme of the host, and
+the parent word is alive, so a word is tested only for occurrences
+through its newest pin: the pinned test of ``avoidance._in_class``.  An
+origin's newest pin is its second point, and the origin less that point
+is the one-point permutation.
 
 The pin probe walks the words depth first, so it holds O(cap) words
 whatever the class, and it lists at most ``PROBE_WITNESSES`` survivors.
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .avoidance import PermClass, _in_class
-from .perm_core import CapExceeded, Permutation, _inverse, _trusted, reduce
+from .perm_core import CapExceeded, Permutation, _inverse, _trusted
 
 LEFT = "left"
 RIGHT = "right"
@@ -81,16 +83,16 @@ class MinimalBlock:
 
 def _minimal_span(
     pi: Sequence[int], pos_of: Sequence, i: int, j: int
-) -> tuple[int, int]:
-    # Closure expansion over a work list: the positions lo..hi and the
-    # values vlo..vhi read so far widen to cover what the other range
-    # needs, plo..phi and wlo..whi, until neither needs more.  Each
-    # position and each value is read once, when it is first covered:
-    # the new positions as slices of ``pi``, the new values as slices of
-    # ``pos_of``, the value-indexed positions (``pos_of[v]`` is the
-    # position of v, and index 0 is unused).  The value slices leave out
-    # ``wlo`` and ``whi`` themselves: each is ``vlo`` or ``vhi`` again, or
-    # a value just read at a covered position.
+) -> tuple[int, int, int, int]:
+    # The minimal block's positions lo..hi and values vlo..vhi, by
+    # closure expansion over a work list: the ranges read so far widen to
+    # cover what the other range needs, plo..phi and wlo..whi, until
+    # neither needs more.  Each position and each value is read once,
+    # when it is first covered: the new positions as slices of ``pi``,
+    # the new values as slices of ``pos_of``, the value-indexed positions
+    # (``pos_of[v]`` is the position of v, and index 0 is unused).  The
+    # value slices leave out ``wlo`` and ``whi`` themselves: each is
+    # ``vlo`` or ``vhi`` again, or a value just read at a covered position.
     lo = hi = i
     vlo = vhi = pi[i - 1]
     plo, phi, wlo, whi = i, j, vlo, vhi
@@ -107,7 +109,7 @@ def _minimal_span(
             elif q > phi:
                 phi = q
         vlo, vhi = wlo, whi
-    return lo, hi
+    return lo, hi, vlo, vhi
 
 
 def minimal_block(pi: Sequence[int], i: int, j: int) -> MinimalBlock:
@@ -121,9 +123,9 @@ def minimal_block(pi: Sequence[int], i: int, j: int) -> MinimalBlock:
     n = len(pi)
     if not 1 <= i < j <= n:
         raise ValueError(f"need positions 1 <= i < j <= {n}, got i={i}, j={j}")
-    s, e = _minimal_span(pi, (0, *_inverse(pi)), i, j)
-    seg = pi[s - 1 : e]
-    return MinimalBlock(pi, (s, e), (min(seg), max(seg)), reduce(seg))
+    s, e, vlo, vhi = _minimal_span(pi, (0, *_inverse(pi)), i, j)
+    pattern = _trusted(v - vlo + 1 for v in pi[s - 1 : e])
+    return MinimalBlock(pi, (s, e), (vlo, vhi), pattern)
 
 
 # --- rectangles and pin conditions ------------------------------------
@@ -304,47 +306,46 @@ def parse_pin_word(text: str) -> PinWord:
     return PinWord(origin.strip(), letters.strip().upper())
 
 
+def _pin_ranks(letter: str, k: int, pos_top: bool, val_top: bool) -> tuple[int, int]:
+    # The one rule that places a pin, for both realisers: the (position
+    # rank, value rank) of a new pin written ``letter`` among k + 1 pins,
+    # given whether the newest of the k pins before it holds the top
+    # position and the top value.  On each axis every rank from the new
+    # pin's up moves up by one.  Only pins are in the plot, so the
+    # channel separating the newest pin from the earlier rectangle is
+    # empty, and on the axis the new pin slices (values for L and R,
+    # positions for U and D) it takes the rank ``cut`` at that
+    # rectangle's edge.  The newest pin left along that axis, or is the
+    # origin's second point, so there it holds rank 1 or k: the cut is k,
+    # just below it, when it is on top, and 2, just above it, otherwise.
+    # On the other axis the new pin goes one step beyond the extreme in
+    # its direction: rank k + 1 for R and U, rank 1 for L and D.  Every
+    # proper pin sequence with a given word realises the same pattern, so
+    # the placement is canonical as well as valid.
+    end = k + 1 if letter in "RU" else 1
+    if letter in _HORIZONTAL:
+        return end, k if val_top else 2
+    return k if pos_top else 2, end
+
+
 def pin_word_points(word: PinWord) -> tuple[Permutation, tuple[tuple[int, int], ...]]:
     """Realise a word and return (host permutation, pins as host points).
 
     >>> pin_word_points(PinWord("12", "UR"))
     (Permutation([1, 4, 2, 3]), ((1, 1), (3, 2), (2, 4), (4, 3)))
     """
-    # Place the pins by integer rank.  Only pins are in the plot, so the
-    # channel separating the previous pin from the earlier rectangle is
-    # empty: the new pin takes the rank ``cut`` at that rectangle's edge,
-    # every rank from ``cut`` up moves up by one, and on the other axis
-    # the pin goes one step beyond the extreme in its direction.  The
-    # previous pin left along the axis the new pin slices, or is the
-    # origin's second point, so there it holds rank 1 or k of the k pins
-    # so far: the cut is k when it is at k, and 2 when it is at 1.  Every
-    # proper pin sequence with this word realises the same pattern, so
-    # the construction is canonical as well as valid.
-    #
-    # Each axis keeps the pin numbers in rank order, bottom first, and each
-    # letter makes one insertion next to an end of each.  On the axis it
-    # slices, the new pin goes just below the top pin when the previous
-    # pin is on top, taking rank k and lifting the top pin to k + 1 (cut
-    # k), and just above the bottom pin otherwise, taking rank 2 and
-    # lifting every rank from 2 (cut 2).  On the axis it leaves by, it
-    # goes on top for R and U, taking rank k + 1, and at the bottom for L
-    # and D, taking rank 1 and lifting every other.  The ranks are read
-    # off once at the end, so a word of k letters costs O(k).
-    pos = deque((0, 1))
-    val = deque((0, 1) if word.origin == "12" else (1, 0))
+    # Each axis keeps the pin numbers in rank order, bottom first, and
+    # ``_pin_ranks`` gives the ranks at which pin k + 1 enters each of
+    # them, both next to an end.  The ranks are read off once at the end,
+    # so a word of m letters costs O(m).
+    pos = deque((1, 2))
+    val = deque((1, 2) if word.origin == "12" else (2, 1))
     for k, ch in enumerate(word.letters, start=2):
-        # ``cross`` is the axis the pin slices, ``along`` the one it leaves by.
-        cross, along = (val, pos) if ch in _HORIZONTAL else (pos, val)
-        cross.insert(k - 1 if cross[-1] == k - 1 else 1, k)
-        if ch in "RU":
-            along.append(k)
-        else:
-            along.appendleft(k)
-    pos_rank, val_rank = [0] * len(pos), [0] * len(val)
-    for axis, rank in ((pos, pos_rank), (val, val_rank)):
-        for r, pin in enumerate(axis, start=1):
-            rank[pin] = r
-    return _trusted(val_rank[pin] for pin in pos), tuple(zip(pos_rank, val_rank))
+        p, v = _pin_ranks(ch, k, pos[-1] == k, val[-1] == k)
+        pos.insert(p - 1, k + 1)
+        val.insert(v - 1, k + 1)
+    pos_rank, val_rank = _inverse(pos), _inverse(val)
+    return _trusted(val_rank[pin - 1] for pin in pos), tuple(zip(pos_rank, val_rank))
 
 
 def pin_word_to_perm(word: PinWord) -> Permutation:
@@ -407,7 +408,7 @@ def _reaching(pi: Sequence[int], i: int, j: int, side: str) -> PinSequence:
     if not 1 <= i < j <= len(pi):
         raise ValueError(f"need 1 <= i < j <= {len(pi)}, got i={i}, j={j}")
     pos_of = (0, *_inverse(pi))
-    s, e = _minimal_span(pi, pos_of, i, j)
+    s, e = _minimal_span(pi, pos_of, i, j)[:2]
     p1 = (i, pi[i - 1])
     p2 = (j, pi[j - 1])
     target = (e, pi[e - 1]) if side == "right" else (s, pi[s - 1])
@@ -449,29 +450,16 @@ _PUSH_ORDER = {"": "DURL", "L": "DU", "R": "DU", "U": "RL", "D": "RL"}
 def _pin_step(host: Permutation, pin: int, letter: str) -> tuple[Permutation, int]:
     # The realisation of a word one letter longer, from ``host``, the
     # realisation of the word, and ``pin``, the 0-based position of its
-    # newest pin (the origin's second point when it has no letter).
-    # ``pin_word_points`` inserts the new pin, number k of k + 1, into
-    # each axis's rank order, and this is the same insertion written on
-    # the one-line form.  On the axis the pin slices it takes rank
-    # ``cut``, and every rank from ``cut`` up moves up by one: ``cut`` is
-    # k when the newest pin holds rank k on that axis and 2 otherwise.
-    # On the other axis R and U take rank k + 1, and L and D rank 1,
-    # lifting every other.  So R appends value ``cut`` and L prepends
-    # it, U inserts value k + 1 at position ``cut``, and D inserts value
-    # 1 there.  The new pin is an extreme of the child: its last or first
-    # position, or its top or bottom value.
+    # newest pin (the origin's second point when it has no letter).  The
+    # new pin takes the ranks ``_pin_ranks`` gives: value v goes in at
+    # position p, and every value from v up moves up by one.  It is an
+    # extreme of the child: its last or first position, or its top or
+    # bottom value.
     k = len(host)
-    if letter in _HORIZONTAL:
-        cut = k if host[pin] == k else 2
-        values = [v + 1 if v >= cut else v for v in host]
-        if letter == "R":
-            return _trusted((*values, cut)), k
-        return _trusted((cut, *values)), 0
-    cut = k if pin == k - 1 else 2
-    if letter == "U":
-        return _trusted((*host[: cut - 1], k + 1, *host[cut - 1 :])), cut - 1
-    values = [v + 1 for v in host]
-    return _trusted((*values[: cut - 1], 1, *values[cut - 1 :])), cut - 1
+    p, v = _pin_ranks(letter, k, pin == k - 1, host[pin] == k)
+    values = [w + 1 if w >= v else w for w in host]
+    values.insert(p - 1, v)
+    return _trusted(values), p - 1
 
 
 @dataclass(frozen=True)
@@ -502,14 +490,15 @@ def pin_probe(inner: PermClass, cap: int) -> PinProbeResult:
     a word's realisation gives its parent's.  So each stack entry
     carries its word's realisation and the position of its last pin,
     and a child's realisation is grown from its parent's by one step
-    that makes the insertion :func:`pin_word_points` makes for the
-    letter; only the two origins are realised whole.  The newest pin is
-    an extreme of its word's realisation, so every word, origins
-    included, is tested only for occurrences through it, by
-    ``avoidance._in_class``, unmemoised, as in the downset grower.  An
-    origin less its second point is the one-point permutation, which
-    lies in the class unless the basis is {1}; then the pinned search
-    finds that point itself, so the verdict is the whole test's.
+    that places the new pin by ``_pin_ranks``, the placement rule
+    :func:`pin_word_points` applies; only the two origins are realised
+    whole.  The newest pin is an extreme of its word's realisation, so
+    every word, origins included, is tested only for occurrences through
+    it, by ``avoidance._in_class``, unmemoised, as in the downset
+    grower.  An origin less its second point is the one-point
+    permutation, which lies in the class unless the basis is {1}; then
+    the pinned search finds that point itself, so the verdict is the
+    whole test's.
     Each word's children are pushed in reverse letter order, so the
     words of one length are met in the order a breadth-first search
     lists them.  The walk stops once ``PROBE_WITNESSES`` words of ``cap``

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from functools import cache
@@ -65,6 +66,7 @@ from .perm_core import (
     LENGTH_CAP,
     CapExceeded,
     Permutation,
+    _quote,
     format_perm,
     inflate,
     intervals,
@@ -99,9 +101,6 @@ class StoreError(Exception):
 class CommandResult:
     exit_code: int
     stdout: str
-
-    def __bool__(self) -> bool:
-        return self.exit_code == EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -240,10 +239,6 @@ def _plots(ns, perms: list[Permutation]) -> list[str]:
     return [ascii_plot(p) for p in perms] if _plotting(ns, map(len, perms)) else []
 
 
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
 def _verdict(flag: bool, key: str, yes: str, no: str) -> Output:
     return EXIT_OK if flag else EXIT_NEGATIVE, [{key: flag}], [yes if flag else no]
 
@@ -274,13 +269,34 @@ def _pin_sequence(seq) -> Output:
 
 # --- argument wiring ----------------------------------------------------
 
+# Text that ``int`` reads as a decimal; when it refuses such text, the
+# text has more digits than ``int`` will read.
+_DECIMAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _integer(text: str, refusal: str = "invalid int value: {}") -> int:
+    """``int(text)``, for the integers typed on the command line.
+
+    A decimal too long for ``int`` to read is named as such; other text
+    is refused with ``refusal``, the text quoted in place of ``{}``.
+    Either message quotes at most a bounded prefix of the text.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        if _DECIMAL.fullmatch(text):
+            digits = sum(map(str.isdecimal, text))
+            refusal = f"{{}} is a decimal of {digits} digits, too long to read"
+        raise argparse.ArgumentTypeError(refusal.format(_quote(text))) from None
+
+
 @cache  # built on the first execute, not at import; never changed after
 def _build_parser() -> _Parser:
     p = _Parser(prog="permwreath", description=__doc__.splitlines()[0])
     p.add_argument("--json", action="store_true", help="structured output")
     p.add_argument(
         "--max-perm-len",
-        type=int,
+        type=_integer,
         default=LENGTH_CAP,
         help=f"hard cap on parsed permutation length (default {LENGTH_CAP})",
     )
@@ -326,7 +342,7 @@ def _build_parser() -> _Parser:
 
     q = cmd(sub, "enumerate", _enumerate, "members of a class by length")
     q.add_argument("cls", metavar="class")
-    q.add_argument("n", type=int)
+    q.add_argument("n", type=_integer)
 
     q = cmd(sub, "profile", _profile, "shortest deflation with blocks in a class")
     q.add_argument("pi")
@@ -345,8 +361,8 @@ def _build_parser() -> _Parser:
 
     q = cmd(sub, "minblock", _minblock, "minimal block on two positions")
     q.add_argument("pi")
-    q.add_argument("i", type=int)
-    q.add_argument("j", type=int)
+    q.add_argument("i", type=_integer)
+    q.add_argument("j", type=_integer)
     q.add_argument("--ascii-plot", action="store_true")
 
     pins = sub.add_parser("pins", help="pin-sequence tools").add_subparsers(
@@ -354,26 +370,26 @@ def _build_parser() -> _Parser:
     )
     q = cmd(pins, "classify", _pins_classify, "validate and classify pin points")
     q.add_argument("pi")
-    q.add_argument("positions", nargs="+", type=int)
+    q.add_argument("positions", nargs="+", type=_integer)
     q = cmd(pins, "word", _pins_word, "realise a pin word, e.g. 12:URUR")
     q.add_argument("word")
     q.add_argument("--ascii-plot", action="store_true")
     q = cmd(pins, "reach", _pins_reach, "proper reaching sequence in a minimal block")
     q.add_argument("pi")
-    q.add_argument("i", type=int)
-    q.add_argument("j", type=int)
+    q.add_argument("i", type=_integer)
+    q.add_argument("j", type=_integer)
     q.add_argument("--side", choices=("right", "left"), default="right")
 
     q = cmd(
         sub, "pin-probe", _pin_probe, "bounded search for the pin threshold of a class"
     )
     q.add_argument("--y", required=True)
-    q.add_argument("--pin-cap", type=int, default=20)
+    q.add_argument("--pin-cap", type=_integer, default=20)
 
     q = cmd(sub, "basis", _basis, "basis of a wreath product up to a length")
     q.add_argument("--x", required=True)
     q.add_argument("--y", required=True)
-    q.add_argument("--max-len", type=int, required=True)
+    q.add_argument("--max-len", type=_integer, required=True)
 
     q = cmd(
         sub, "verify-basis", _verify_basis, "is this permutation minimally outside?"
@@ -387,7 +403,7 @@ def _build_parser() -> _Parser:
     )
     q = cmd(anti, "gen", _antichain_gen, "generate a family member")
     q.add_argument("family", choices=sorted(FAMILIES))
-    q.add_argument("k", type=int)
+    q.add_argument("k", type=_integer)
     q.add_argument("--upto", action="store_true", help="members 1..k")
     q.add_argument("--ascii-plot", action="store_true")
     q = cmd(anti, "check", _antichain_check, "pairwise incomparability")
@@ -401,7 +417,7 @@ def _build_parser() -> _Parser:
 def _run(ns) -> CommandResult:
     code, objects, lines = ns.run(ns)
     if ns.json:
-        lines = [_json_line(obj) for obj in objects]
+        lines = [json.dumps(obj, sort_keys=True) for obj in objects]
     return CommandResult(code, "\n".join(lines))
 
 
@@ -423,16 +439,10 @@ def _inflate(ns) -> Output:
     return EXIT_OK, [{"perm": list(result)}], [format_perm(result)]
 
 
-def _entry(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"cannot parse entry {text!r}: expected an integer") from None
-
-
 def _reduce(ns) -> Output:
     entries = " ".join(ns.entries).replace(",", " ").split()
-    result = reduce([_entry(e) for e in entries])
+    refusal = "cannot parse entry {}: expected an integer"
+    result = reduce([_integer(e, refusal) for e in entries])
     lines = [format_perm(result)]
     lines += _plots(ns, [result])
     return EXIT_OK, [{"perm": list(result)}], lines
@@ -645,7 +655,7 @@ def execute(argv: list[str]) -> CommandResult:
         return CommandResult(EXIT_LIMIT, f"limit: {exc}")
     except (StoreError, OSError) as exc:
         return CommandResult(EXIT_USAGE, f"store error: {exc}")
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, argparse.ArgumentTypeError) as exc:
         return CommandResult(EXIT_USAGE, f"error: {exc}")
 
 

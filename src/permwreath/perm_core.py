@@ -62,6 +62,16 @@ def _trusted(vals) -> Permutation:
 
 ONE = _trusted((1,))
 
+#: Most characters of refused text that an error message quotes.
+_QUOTED_CHARS = 20
+
+
+def _quote(text: str) -> str:
+    # ``repr(text)``, cut to a bounded prefix marked by "...", so that an
+    # error message stays short however long the refused text is.
+    cut = text[:_QUOTED_CHARS]
+    return repr(cut) if cut == text else f"{cut!r}..."
+
 
 def parse_perm(text: str, *, max_len: int = LENGTH_CAP) -> Permutation:
     """Parse a permutation from text.
@@ -88,11 +98,11 @@ def parse_perm(text: str, *, max_len: int = LENGTH_CAP) -> Permutation:
             )
         parts = list(s)
     else:
-        raise ValueError(f"cannot parse permutation from {text!r}")
+        raise ValueError(f"cannot parse permutation from {_quote(text)}")
     try:
         vals = [int(p) for p in parts]
     except ValueError:
-        raise ValueError(f"cannot parse permutation from {text!r}") from None
+        raise ValueError(f"cannot parse permutation from {_quote(text)}") from None
     if len(vals) > max_len:
         raise CapExceeded(f"length {len(vals)} exceeds the cap {max_len}")
     return Permutation(vals)

@@ -127,7 +127,7 @@ def assert_minimal_spans_nest(pi) -> dict:
     of a pair inside a span lies inside it, and equals it when that pair
     encloses the span's own; return the table."""
     pos_of = value_positions(pi)
-    spans = span_table(pi, lambda i, j: _minimal_span(pi, pos_of, i, j))
+    spans = span_table(pi, lambda i, j: _minimal_span(pi, pos_of, i, j)[:2])
     for (i, j), (s, e) in spans.items():
         for k in range(s, e + 1):
             for l in range(k + 1, e + 1):

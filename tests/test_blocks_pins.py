@@ -368,9 +368,12 @@ class TestMinimalBlock:
             n = len(pi)
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
-                    assert minimal_block(pi, i, j).pos_range == brute_minimal_block(
-                        pi, i, j
-                    )
+                    mb = minimal_block(pi, i, j)
+                    s, e = brute_minimal_block(pi, i, j)
+                    seg = pi[s - 1 : e]
+                    assert mb.pos_range == (s, e)
+                    assert mb.val_range == (min(seg), max(seg))
+                    assert mb.pattern == reduce(seg)
 
     def test_span_matches_direct_scan_on_family_hosts(self):
         rng = random.Random(13)
@@ -382,9 +385,8 @@ class TestMinimalBlock:
                 for _ in range(12):
                     i = rng.randint(1, n - 1)
                     j = rng.randint(i + 1, n)
-                    assert _minimal_span(host, pos_of, i, j) == brute_minimal_block(
-                        host, i, j
-                    ), (name, k, i, j)
+                    span = _minimal_span(host, pos_of, i, j)[:2]
+                    assert span == brute_minimal_block(host, i, j), (name, k, i, j)
 
     def test_nesting_and_equality(self):
         for pi in perms_up_to(6):
@@ -536,6 +538,17 @@ class TestPinWords:
             assert list(pin_word_to_perm(word)) == increasing_oscillation(m)
         word = PinWord("12", "UR" * 25_000)
         assert list(pin_word_to_perm(word)) == increasing_oscillation(50_002)
+
+    def test_long_mixed_words_match_frozen_relabelling(self):
+        rng = random.Random(2008)
+        for n in range(20):
+            letters = []
+            for _ in range(rng.randint(200, 2000)):
+                letters.append(rng.choice(next_letters(letters)))
+            word = PinWord(("12", "21")[n % 2], "".join(letters))
+            host, pins = _frozen_pin_word_points(word)
+            assert pin_word_points(word) == (host, pins), n
+            assert stepped_pin_word(word) == (host, pins[-1][0] - 1), n
 
     @given(st.sampled_from(["12", "21"]), st.data())
     def test_prefix_embeds(self, origin, data):

@@ -1236,6 +1236,26 @@ GOLDEN = [
         "error: cannot parse entry 'x': expected an integer",
         "error: cannot parse entry 'x': expected an integer",
     ),
+    (
+        ("reduce", "3", "1" * 5000),
+        2,
+        "error: '11111111111111111111'... is a decimal of 5000 digits, too long to read",
+        "error: '11111111111111111111'... is a decimal of 5000 digits, too long to read",
+    ),
+    (
+        ("minblock", "2413", "9" * 5000, "2"),
+        2,
+        "permwreath minblock: argument i: '99999999999999999999'... is a decimal of "
+        "5000 digits, too long to read",
+        "permwreath minblock: argument i: '99999999999999999999'... is a decimal of "
+        "5000 digits, too long to read",
+    ),
+    (
+        ("involve", "1 " + "9" * 5000, "12"),
+        2,
+        "error: cannot parse permutation from '1 999999999999999999'...",
+        "error: cannot parse permutation from '1 999999999999999999'...",
+    ),
 ]
 
 

@@ -33,9 +33,13 @@ lines through ``cli.execute``:
   every permutation of length <= 4, and ``enumerate`` to length 5, for
   each class in ``DEFLATION_CLASSES``;
 * ``pins classify`` of each permutation of length 4 at each order of its
-  four positions, valid or not; ``pins word`` of every word of at
-  most two letters, perpendicular or not; ``inflate`` of each skeleton of
-  length <= 3 by hosts from ``DECOMPOSED``, and by too few blocks;
+  four positions, valid or not;
+* ``pins word`` from both origins of every word of at most two letters,
+  perpendicular or not, of every perpendicular word of at most
+  ``WORD_LETTERS`` letters, and of seeded perpendicular words of the
+  lengths in ``LONG_WORDS``;
+* ``inflate`` of each skeleton of length <= 3 by hosts from
+  ``DECOMPOSED``, and by too few blocks;
 * a ``--json`` copy of some of the above.
 
 The exit code, the stdout and the store's bytes of each invocation are
@@ -51,6 +55,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -86,6 +91,31 @@ DECOMPOSED = ["217968543", "456123", "123456", "346215"]
 #: The classes the short permutations are deflated by, tested in, and
 #: enumerated to length SHORT_N.
 DEFLATION_CLASSES = ["av(21)", "av(123)", "av(321)", "av(3412,2413)"]
+
+#: ``pins word`` runs on every perpendicular word of up to WORD_LETTERS
+#: letters, and on one word of each length in LONG_WORDS, drawn with a
+#: fixed seed.
+WORD_LETTERS = 6
+LONG_WORDS = (100, 500, 2000)
+
+#: The letters that may follow each letter of a pin word.
+TURNS = {"L": "UD", "R": "UD", "U": "LR", "D": "LR"}
+
+
+def perpendicular_words() -> list[str]:
+    """The letters of every perpendicular pin word of 3..WORD_LETTERS
+    letters, then of one seeded word of each length in LONG_WORDS."""
+    words, level = [], [a + b for a in "LRUD" for b in TURNS[a]]
+    for _ in range(3, WORD_LETTERS + 1):
+        level = [w + ch for w in level for ch in TURNS[w[-1]]]
+        words += level
+    rng = random.Random(2008)
+    for n in LONG_WORDS:
+        letters = [rng.choice("LRUD")]
+        while len(letters) < n:
+            letters.append(rng.choice(TURNS[letters[-1]]))
+        words.append("".join(letters))
+    return words
 
 
 def invocations() -> list[list[str]]:
@@ -159,6 +189,11 @@ def invocations() -> list[list[str]]:
         for origin in ("12", "21")
         for m in range(3)
         for letters in itertools.product("LRUD", repeat=m)
+    ]
+    runs += [
+        ["pins", "word", f"{origin}:{letters}"]
+        for origin in ("12", "21")
+        for letters in perpendicular_words()
     ]
     runs += [
         ["inflate", text, *DECOMPOSED[: len(text)]] for text in short if len(text) <= 3
