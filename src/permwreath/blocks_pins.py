@@ -4,9 +4,15 @@ Viewing a permutation as its plot, the *minimal block* on two positions
 is the shortest interval containing both.  A *pin sequence* walks the
 plot: each pin after the second lies outside the bounding rectangle of
 its predecessors and slices that rectangle horizontally or vertically.
-A *proper* pin additionally separates the previous pin from the earlier
-rectangle and is taken maximally in its direction among the pins that
-could do so.
+Its direction is the one edge of that rectangle it moves: the least
+position for L, the greatest for R, the least value for D and the
+greatest for U.  The pins are distinct points of a permutation, so no
+pin shares a position or a value with an earlier one, and none lies on
+an edge: a pin that moves no edge lies inside the rectangle, and one
+that moves two lies beyond a corner and slices nothing.  A *proper*
+pin additionally separates the previous pin from the earlier rectangle
+and is taken maximally in its direction among the pins that could do
+so.
 
 Pin words give proper pin sequences a free-standing form: an origin pair
 (rising or falling) plus letters over L, R, U, D with consecutive
@@ -133,48 +139,21 @@ def minimal_block(pi: Sequence[int], i: int, j: int) -> MinimalBlock:
 Point = tuple  # (position, value)
 
 
-def _bbox(pts: Sequence[Point]) -> tuple:
-    xs = [p for p, _ in pts]
-    ys = [v for _, v in pts]
-    return min(xs), max(xs), min(ys), max(ys)
+#: The direction of a pin that moves each edge of (pmin, pmax, vmin, vmax).
+_EDGES = (LEFT, RIGHT, DOWN, UP)
 
 
-def _moved(rect, q: Point, d: str) -> tuple:
-    # The rectangle of rect's points and q, a pin slicing rect in
-    # direction d.  An R or L pin lies strictly inside rect's values, so
-    # it moves only pmax or pmin; a U or D pin lies strictly inside its
-    # positions, so it moves only vmax or vmin.
+def _grow(rect, q: Point) -> tuple:
+    # The rectangle (pmin, pmax, vmin, vmax) of rect's points and q.  The
+    # edge a pin moves is its direction, read off by ``classify_pins``.
     pmin, pmax, vmin, vmax = rect
-    if d == RIGHT:
-        return pmin, q[0], vmin, vmax
-    if d == LEFT:
-        return q[0], pmax, vmin, vmax
-    if d == UP:
-        return pmin, pmax, vmin, q[1]
-    return pmin, pmax, q[1], vmax
-
-
-def _inside(q: Point, rect) -> bool:
-    pmin, pmax, vmin, vmax = rect
-    return pmin <= q[0] <= pmax and vmin <= q[1] <= vmax
-
-
-def _slice_direction(q: Point, rect):
-    # The direction in which q slices rect, or None if it does not.
     pos, val = q
-    pmin, pmax, vmin, vmax = rect
-    if vmin < val < vmax:
-        if pos > pmax:
-            return RIGHT
-        if pos < pmin:
-            return LEFT
-        return None
-    if pmin < pos < pmax:
-        if val > vmax:
-            return UP
-        if val < vmin:
-            return DOWN
-    return None
+    return (
+        pos if pos < pmin else pmin,
+        pos if pos > pmax else pmax,
+        val if val < vmin else vmin,
+        val if val > vmax else vmax,
+    )
 
 
 def _proper_pins(pi: Sequence[int], pos_of: Sequence, last: Point, rect, prev) -> list:
@@ -252,21 +231,28 @@ def classify_pins(host: Sequence[int], pin_points: Iterable) -> PinSequence:
     pos_of = (0, *_inverse(host))
     directions: list = [None, None]
     proper: list = [None, None]
-    prev, rect = _bbox(pts[:1]), _bbox(pts[:2])
+    # The checks above make the pins distinct points of a permutation, so
+    # no pin shares a position or a value with an earlier one, and none
+    # lies on an edge of the rectangle before it.  A pin therefore lies
+    # inside the rectangle exactly when ``_grow`` moves no edge, and
+    # slices it exactly when ``_grow`` moves one edge, whose direction is
+    # the pin's; a pin that moves two edges does not slice.
+    pos, val = pts[0]
+    prev = (pos, pos, val, val)
+    rect = _grow(prev, pts[1])
     for idx in range(2, len(pts)):
         p = pts[idx]
-        if _inside(p, rect):
+        grown = _grow(rect, p)
+        moved = [d for d, a, b in zip(_EDGES, rect, grown) if a != b]
+        if len(moved) != 1:
+            where = "does not slice" if moved else "lies inside"
             raise PinConditionError(
-                idx + 1, "lies inside the rectangle of the earlier pins"
+                idx + 1, f"{where} the rectangle of the earlier pins"
             )
-        d = _slice_direction(p, rect)
-        if d is None:
-            raise PinConditionError(
-                idx + 1, "does not slice the rectangle of the earlier pins"
-            )
-        directions.append(d)
-        proper.append((p, d) in _proper_pins(host, pos_of, pts[idx - 1], rect, prev))
-        prev, rect = rect, _moved(rect, p, d)
+        directions += moved
+        candidates = _proper_pins(host, pos_of, pts[idx - 1], rect, prev)
+        proper.append((p, moved[0]) in candidates)
+        prev, rect = rect, grown
     return PinSequence(host, pts, tuple(directions), tuple(proper))
 
 
@@ -359,35 +345,6 @@ def pin_word_to_perm(word: PinWord) -> Permutation:
 
 # --- reaching sequences -----------------------------------------------
 
-def _dfs_reaching(pi: Sequence[int], pos_of: Sequence, p1, p2, target):
-    # Depth-first over proper pins, trying R, U, L, D in that order:
-    # ``_proper_pins`` returns them in the reverse order, which is the
-    # order they are pushed.  A proper reaching sequence always exists
-    # (Brignall, Huczynska and Vatter), so the search only has to find
-    # one.  Each entry carries a node (pin, direction, parent) of a
-    # linked path, whose direction is the one ``_proper_pins`` paired
-    # with the pin, the rectangle of the path's pins, which that
-    # direction grows by one edge (``_moved``), and that of all but the
-    # last.  A push copies no list: the path is read off the nodes once,
-    # at the target.  A target among the starting points is reached by
-    # them alone.
-    if target in (p1, p2):
-        return [p1, p2], [None, None]
-    stack = [((p2, None, (p1, None, None)), _bbox([p1, p2]), _bbox([p1]))]
-    while stack:
-        node, rect, prev = stack.pop()
-        if node[0] == target:
-            pins, dirs = [], []
-            while node:
-                q, d, node = node
-                pins.append(q)
-                dirs.append(d)
-            return pins[::-1], dirs[::-1]
-        for q, d in _proper_pins(pi, pos_of, node[0], rect, prev):
-            stack.append(((q, d, node), _moved(rect, q, d), rect))
-    return None
-
-
 def _reaching(pi: Sequence[int], i: int, j: int, side: str) -> PinSequence:
     """The reaching sequence from positions (i, j) to the ``side`` end
     of their minimal block, proper by construction.
@@ -412,15 +369,35 @@ def _reaching(pi: Sequence[int], i: int, j: int, side: str) -> PinSequence:
     p1 = (i, pi[i - 1])
     p2 = (j, pi[j - 1])
     target = (e, pi[e - 1]) if side == "right" else (s, pi[s - 1])
-    found = _dfs_reaching(pi, pos_of, p1, p2, target)
-    if found is None:
-        raise RuntimeError(
-            f"no proper {side}-reaching pin sequence from ({i}, {j}); "
-            "this should be impossible"
-        )
-    pins, dirs = found
-    flags = (None, None) + (True,) * (len(pins) - 2)
-    return PinSequence(pi, tuple(pins), tuple(dirs), flags)
+    # Depth-first over proper pins, trying R, U, L, D in that order:
+    # ``_proper_pins`` returns them in the reverse order, which is the
+    # order they are pushed.  A proper reaching sequence always exists
+    # (Brignall, Huczynska and Vatter), so the search only has to find
+    # one.  Each entry carries a node (pin, direction, parent) of a
+    # linked path, whose direction is the one ``_proper_pins`` paired
+    # with the pin, the rectangle of the path's pins, grown by ``_grow``
+    # from the point rectangle of p1, and that of all but the last.  A
+    # push copies no list: the path is read off the nodes once, at the
+    # target.  A target at p1 is reached by the starting pair alone, at
+    # the first entry.
+    start = (i, i, p1[1], p1[1])
+    stack = [((p2, None, (p1, None, None)), _grow(start, p2), start)]
+    while stack:
+        node, rect, prev = stack.pop()
+        if target in (node[0], p1):
+            pins, dirs = [], []
+            while node:
+                q, d, node = node
+                pins.append(q)
+                dirs.append(d)
+            flags = (None, None) + (True,) * (len(pins) - 2)
+            return PinSequence(pi, tuple(pins[::-1]), tuple(dirs[::-1]), flags)
+        for q, d in _proper_pins(pi, pos_of, node[0], rect, prev):
+            stack.append(((q, d, node), _grow(rect, q), rect))
+    raise RuntimeError(
+        f"no proper {side}-reaching pin sequence from ({i}, {j}); "
+        "this should be impossible"
+    )
 
 
 def right_reaching(pi: Sequence[int], i: int, j: int) -> PinSequence:

@@ -45,7 +45,7 @@ class Permutation(tuple):
         if n == 0:
             raise ValueError("a permutation has at least one entry")
         if set(map(type, vals)) != {int} or sorted(vals) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {vals!r}")
+            raise ValueError(f"not a permutation of 1..{n}: {_quote(repr(vals), str)}")
         return tuple.__new__(cls, vals)
 
     def __repr__(self) -> str:
@@ -66,11 +66,12 @@ ONE = _trusted((1,))
 _QUOTED_CHARS = 20
 
 
-def _quote(text: str) -> str:
-    # ``repr(text)``, cut to a bounded prefix marked by "...", so that an
-    # error message stays short however long the refused text is.
+def _quote(text: str, show=repr) -> str:
+    # ``show(text)``, with text cut to a bounded prefix marked by "...",
+    # so that an error message stays short however long the refused text
+    # is.  Refused entries are quoted as ``_quote(repr(entries), str)``.
     cut = text[:_QUOTED_CHARS]
-    return repr(cut) if cut == text else f"{cut!r}..."
+    return show(cut) if cut == text else f"{show(cut)}..."
 
 
 def parse_perm(text: str, *, max_len: int = LENGTH_CAP) -> Permutation:
@@ -137,7 +138,7 @@ def reduce(seq: Sequence) -> Permutation:
     order = sorted(vals)
     for a, b in zip(order, order[1:]):
         if a == b:
-            raise ValueError(f"entries must be distinct: {seq!r}")
+            raise ValueError(f"entries must be distinct: {_quote(repr(seq), str)}")
     rank = {v: r for r, v in enumerate(order, start=1)}
     return _trusted(rank[v] for v in vals)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -15,12 +16,9 @@ from permwreath.blocks_pins import (
     PROBE_WITNESSES,
     PinConditionError,
     PinWord,
-    _bbox,
-    _inside,
     _minimal_span,
     _pin_step,
     _proper_pins,
-    _slice_direction,
     classify_pins,
     left_reaching,
     minimal_block,
@@ -36,6 +34,7 @@ from conftest import (
     assert_minimal_spans_nest,
     direct_intervals,
     p,
+    perms_of_length,
     perms_up_to,
     value_positions,
 )
@@ -129,6 +128,40 @@ def all_pin_words(max_letters):
             level = [letters + ch for letters in level for ch in next_letters(letters)]
 
 
+# The rectangle rules the pin kernels used before a pin's direction was
+# read off the edge it moves, frozen for the references below: the
+# bounding rectangle of a point list, and two tests of a point against
+# it, inside and slicing.
+
+def _bbox(pts):
+    xs = [p for p, _ in pts]
+    ys = [v for _, v in pts]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def _inside(q, rect):
+    pmin, pmax, vmin, vmax = rect
+    return pmin <= q[0] <= pmax and vmin <= q[1] <= vmax
+
+
+def _slice_direction(q, rect):
+    # The direction in which q slices rect, or None if it does not.
+    pos, val = q
+    pmin, pmax, vmin, vmax = rect
+    if vmin < val < vmax:
+        if pos > pmax:
+            return "right"
+        if pos < pmin:
+            return "left"
+        return None
+    if pmin < pos < pmax:
+        if val > vmax:
+            return "up"
+        if val < vmin:
+            return "down"
+    return None
+
+
 def _further(a, b, direction):
     """Is point a further than b in ``direction``?"""
     if direction == "right":
@@ -188,6 +221,19 @@ def _frozen_classify(host, pts):
         )
         prev, rect = rect, _grow(rect, q)
     return tuple(directions), tuple(proper)
+
+
+def _frozen_refusal(pts):
+    """(index, condition) of the first pin of distinct points ``pts``
+    that lies inside the rectangle of the earlier pins or does not slice
+    it, in that order, or None when every pin slices."""
+    for idx in range(2, len(pts)):
+        rect = _bbox(pts[:idx])
+        if _inside(pts[idx], rect):
+            return idx + 1, "lies inside the rectangle of the earlier pins"
+        if _slice_direction(pts[idx], rect) is None:
+            return idx + 1, "does not slice the rectangle of the earlier pins"
+    return None
 
 
 def _frozen_dfs(block_pts, p1, p2, target):
@@ -417,16 +463,43 @@ class TestClassifyPins:
     def test_non_slicing_point(self):
         # (4, 4) sits beyond both coordinate ranges of rect((1,2),(2,1)).
         with pytest.raises(PinConditionError) as exc:
-            classify_pins(p("2143"), [(1, 2), (2, 1), (4, 4)])
+            classify_pins(p("2134"), [(1, 2), (2, 1), (4, 4)])
         assert exc.value.index == 3
+        assert exc.value.condition == (
+            "does not slice the rectangle of the earlier pins"
+        )
 
     def test_point_inside_rectangle(self):
-        with pytest.raises(PinConditionError):
+        with pytest.raises(PinConditionError) as exc:
             classify_pins(p("25314"), [(1, 2), (5, 4), (3, 3)])
+        assert exc.value.index == 3
+        assert exc.value.condition == "lies inside the rectangle of the earlier pins"
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             classify_pins(p("2413"), [(1, 2)])
+
+    def test_edge_rule_matches_frozen_predicates_exhaustively(self):
+        # Every ordered triple of positions of each permutation of length
+        # 3-6, and every ordered 4-tuple for lengths 4-5: a refusal names
+        # the pin and condition the inside-then-slicing tests name, and a
+        # sequence gets the directions and flags of the full scan.
+        calls = 0
+        for n, m in [(3, 3), (4, 3), (5, 3), (6, 3), (4, 4), (5, 4)]:
+            for host in perms_of_length(n):
+                for order in itertools.permutations(range(1, n + 1), m):
+                    pts = [(q, host[q - 1]) for q in order]
+                    refusal = _frozen_refusal(pts)
+                    calls += 1
+                    if refusal is None:
+                        seq = classify_pins(host, pts)
+                        frozen = _frozen_classify(host, pts)
+                        assert (seq.directions, seq.proper_flags) == frozen, pts
+                        continue
+                    with pytest.raises(PinConditionError) as exc:
+                        classify_pins(host, pts)
+                    assert (exc.value.index, exc.value.condition) == refusal, pts
+        assert calls == 94_212 + 14_976
 
     @settings(max_examples=300, deadline=None)
     @given(pin_sequences())

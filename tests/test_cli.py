@@ -1256,6 +1256,18 @@ GOLDEN = [
         "error: cannot parse permutation from '1 999999999999999999'...",
         "error: cannot parse permutation from '1 999999999999999999'...",
     ),
+    (
+        ("reduce", "1", *map(str, range(1, 3000))),
+        2,
+        "error: entries must be distinct: [1, 1, 2, 3, 4, 5, 6...",
+        "error: entries must be distinct: [1, 1, 2, 3, 4, 5, 6...",
+    ),
+    (
+        ("--max-perm-len", "5000", "simple", " ".join(map(str, range(2, 3001)))),
+        2,
+        "error: not a permutation of 1..2999: (2, 3, 4, 5, 6, 7, 8...",
+        "error: not a permutation of 1..2999: (2, 3, 4, 5, 6, 7, 8...",
+    ),
 ]
 
 

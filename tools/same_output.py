@@ -33,7 +33,11 @@ lines through ``cli.execute``:
   every permutation of length <= 4, and ``enumerate`` to length 5, for
   each class in ``DEFLATION_CLASSES``;
 * ``pins classify`` of each permutation of length 4 at each order of its
-  four positions, valid or not;
+  four positions, valid or not, and of ``CLASSIFY_HOSTS`` seeded hosts of
+  length 7..14, each at ``CLASSIFY_RUNS`` seeded sequences of 3..6
+  positions: half of them walks whose pins slice the rectangle before
+  them where some point can, half any distinct positions, so that both
+  refusals and all four directions come up on the longer hosts;
 * ``pins word`` from both origins of every word of at most two letters,
   perpendicular or not, of every perpendicular word of at most
   ``WORD_LETTERS`` letters, and of seeded perpendicular words of the
@@ -98,6 +102,11 @@ DEFLATION_CLASSES = ["av(21)", "av(123)", "av(321)", "av(3412,2413)"]
 WORD_LETTERS = 6
 LONG_WORDS = (100, 500, 2000)
 
+#: ``pins classify`` runs on CLASSIFY_HOSTS seeded hosts of length 7..14,
+#: at CLASSIFY_RUNS seeded sequences each.
+CLASSIFY_HOSTS = 40
+CLASSIFY_RUNS = 6
+
 #: The letters that may follow each letter of a pin word.
 TURNS = {"L": "UD", "R": "UD", "U": "LR", "D": "LR"}
 
@@ -116,6 +125,34 @@ def perpendicular_words() -> list[str]:
             letters.append(rng.choice(TURNS[letters[-1]]))
         words.append("".join(letters))
     return words
+
+
+def classify_runs() -> list[list[str]]:
+    """``pins classify`` of the seeded hosts at their seeded sequences.
+    A walk takes, from its third pin on, a point that slices the
+    rectangle of the pins before it when there is one, and any unused
+    point when there is none.  A point off every earlier pin's position
+    and value slices exactly when it lies strictly between the
+    rectangle's edges on one axis and not on the other."""
+    rng = random.Random(2007)
+    runs = []
+    for _ in range(CLASSIFY_HOSTS):
+        n = rng.randint(7, 14)
+        host = rng.sample(range(1, n + 1), n)
+        for run in range(CLASSIFY_RUNS):
+            m = rng.randint(3, 6)
+            order = rng.sample(range(1, n + 1), 2 if run % 2 else m)
+            while len(order) < m:
+                vals = [host[q - 1] for q in order]
+                lo, hi, vlo, vhi = min(order), max(order), min(vals), max(vals)
+                free = [q for q in range(1, n + 1) if q not in order]
+                slicing = [
+                    q for q in free if (lo < q < hi) != (vlo < host[q - 1] < vhi)
+                ]
+                order.append(rng.choice(slicing or free))
+            text = " ".join(map(str, host))
+            runs.append(["pins", "classify", text, *map(str, order)])
+    return runs
 
 
 def invocations() -> list[list[str]]:
@@ -184,6 +221,7 @@ def invocations() -> list[list[str]]:
         runs += [["enumerate", y, str(n)] for n in range(1, SHORT_N + 1)]
     four = [text for text in short if len(text) == 4]
     runs += [["pins", "classify", host, *order] for host in four for order in four]
+    runs += classify_runs()
     runs += [
         ["pins", "word", origin + ":" + "".join(letters)]
         for origin in ("12", "21")
